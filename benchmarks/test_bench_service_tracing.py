@@ -28,7 +28,7 @@ from repro.io import (
     specification_to_dict,
 )
 from repro.service import ReliabilityService
-from repro.service.supervision import SupervisedShardedExecutor
+from repro.runtime.executor import ShardedExecutor
 
 RUNS = 48
 ITERATIONS = 400
@@ -64,11 +64,11 @@ def _documents(design, runs, iterations, salt):
 
 
 def _service(tracing):
-    # Cacheless (every seed is fresh) so each round simulates; the
-    # supervised executor is the fleet's production configuration.
+    # Cacheless (every seed is fresh) so each round simulates; a
+    # per-shard deadline is the fleet's production configuration.
     return ReliabilityService(
         functions=FUNCTIONS,
-        executor_factory=lambda shards: SupervisedShardedExecutor(
+        executor_factory=lambda shards: ShardedExecutor(
             shards, deadline_s=600.0
         ),
         tracing=tracing,

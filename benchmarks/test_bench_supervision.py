@@ -1,14 +1,14 @@
-"""Fault-free overhead of the supervised shard executor (PR 8).
+"""Fault-free cost of hang detection in the one shard executor.
 
-Supervision must be close to free when nothing fails: the supervised
-executor runs the same fork/slice/merge arithmetic as the PR 7
-:class:`~repro.runtime.executor.ShardedExecutor`, plus a
-``connection.wait`` loop and per-shard deadline bookkeeping.  This
-bench runs the large 3TS batch on both executors, asserts
-bit-identity, and — at the full benchmark budget — guards the
-acceptance bound: supervised wall-clock <= 1.1x unsupervised (median
-of several interleaved rounds, so a single scheduler hiccup on a
-loaded CI box doesn't fail the build).
+Supervision must be close to free when nothing fails.
+:class:`~repro.runtime.executor.ShardedExecutor` always supervises its
+workers through a ``connection.wait`` loop; a per-shard deadline
+(``deadline_s``) adds monotonic-clock bookkeeping to that loop.  This
+bench runs the large 3TS batch with the deadline on and off, asserts
+bit-identity, and — at the full benchmark budget — guards the bound:
+deadline-on wall-clock <= 1.1x deadline-off (median of several
+interleaved rounds, so a single scheduler hiccup on a loaded CI box
+doesn't fail the build).
 """
 
 import statistics
@@ -24,7 +24,6 @@ from repro.experiments import (
     three_tank_spec,
 )
 from repro.runtime import BatchSimulator, BernoulliFaults, ShardedExecutor
-from repro.service.supervision import SupervisedShardedExecutor
 
 RUNS = 64
 ITERATIONS = 1250
@@ -48,45 +47,45 @@ def test_bench_supervised_overhead(benchmark, report, bench_scale):
     iterations = bench_scale(ITERATIONS)
     runs = max(WORKERS, bench_scale(RUNS))
 
-    supervised_simulator = _simulator(
-        SupervisedShardedExecutor(WORKERS, deadline_s=600.0)
+    deadline_simulator = _simulator(
+        ShardedExecutor(WORKERS, deadline_s=600.0)
     )
-    supervised = benchmark.pedantic(
-        lambda: supervised_simulator.run_batch(runs, iterations),
+    deadline_on = benchmark.pedantic(
+        lambda: deadline_simulator.run_batch(runs, iterations),
         rounds=1, iterations=1,
     )
     plain_simulator = _simulator(ShardedExecutor(WORKERS))
 
     # Interleaved warm rounds: the ratio compares medians, not a
     # single cold pair.
-    plain_times, supervised_times = [], []
+    plain_times, deadline_times = [], []
     for _ in range(ROUNDS):
         started = time.perf_counter()
         plain = plain_simulator.run_batch(runs, iterations)
         plain_times.append(time.perf_counter() - started)
         started = time.perf_counter()
-        supervised_simulator.run_batch(runs, iterations)
-        supervised_times.append(time.perf_counter() - started)
+        deadline_simulator.run_batch(runs, iterations)
+        deadline_times.append(time.perf_counter() - started)
 
     # Bit-identity holds on any hardware, at any scale.
     for name in plain.reliable_counts:
         assert np.array_equal(
             plain.reliable_counts[name],
-            supervised.reliable_counts[name],
+            deadline_on.reliable_counts[name],
         )
 
     plain_median = statistics.median(plain_times)
-    supervised_median = statistics.median(supervised_times)
-    overhead = supervised_median / max(plain_median, 1e-9)
+    deadline_median = statistics.median(deadline_times)
+    overhead = deadline_median / max(plain_median, 1e-9)
     report(
-        "PR 8 — supervision overhead on the fault-free path",
+        "Shard executor — deadline on vs off, fault-free path",
         [
             ("runs x iterations",
              f"{RUNS} x {ITERATIONS}", f"{runs} x {iterations}"),
-            (f"sharded x{WORKERS} wall-clock", "-",
+            (f"deadline off x{WORKERS} wall-clock", "-",
              f"{plain_median:.3f}s"),
-            (f"supervised x{WORKERS} wall-clock", "-",
-             f"{supervised_median:.3f}s"),
+            (f"deadline on x{WORKERS} wall-clock", "-",
+             f"{deadline_median:.3f}s"),
             ("overhead", f"<= {OVERHEAD_CEILING}x",
              f"{overhead:.3f}x"),
             ("bit-identical", "yes", "yes"),

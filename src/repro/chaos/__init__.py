@@ -5,8 +5,7 @@
 stack while injecting faults from a seeded schedule:
 
 * shard-worker kills, hangs, and slow starts (through the
-  :class:`~repro.service.supervision.SupervisedShardedExecutor` chaos
-  hook),
+  :class:`~repro.runtime.executor.ShardedExecutor` chaos hook),
 * truncated and garbled cache spill files,
 * garbage and torn-append lines in the run ledger,
 * submission floods against the bounded queue (429 + retry).

@@ -25,14 +25,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
+from repro.runtime.executor import (
+    ChaosAction,
+    RetryPolicy,
+    ShardedExecutor,
+)
 from repro.service.client import ServiceClient
 from repro.service.jobs import TERMINAL_STATES, ReliabilityService
 from repro.service.server import make_server
-from repro.service.supervision import (
-    ChaosAction,
-    RetryPolicy,
-    SupervisedShardedExecutor,
-)
 from repro.service.top import parse_prometheus, scrape_metrics
 
 
@@ -129,8 +129,7 @@ class ChaosSchedule:
 class ScheduledFaults:
     """Adapter binding one batch's salt to the schedule.
 
-    The :class:`~repro.service.supervision.SupervisedShardedExecutor`
-    chaos hook only sees ``(shard, attempt)``; the salt makes distinct
+    The :class:`~repro.runtime.executor.ShardedExecutor` chaos hook only sees ``(shard, attempt)``; the salt makes distinct
     batches draw distinct faults.
     """
 
@@ -347,11 +346,11 @@ def run_chaos(
         batch_counter = {"next": 0}
         counter_lock = threading.Lock()
 
-        def executor_factory(shards: int) -> SupervisedShardedExecutor:
+        def executor_factory(shards: int) -> ShardedExecutor:
             with counter_lock:
                 salt = batch_counter["next"]
                 batch_counter["next"] += 1
-            return SupervisedShardedExecutor(
+            return ShardedExecutor(
                 shards,
                 policy=RetryPolicy(
                     retries=config.shard_retries,

@@ -1309,6 +1309,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="shard a batch (--runs > 1) over N worker processes; "
+        "a crashed or failed shard is retried up to twice; "
         "results are bit-identical to --jobs 1",
     )
     simulate.add_argument("--slack", type=float, default=0.01,

@@ -28,18 +28,37 @@ unpicklable task lambdas — never crosses the process boundary
 ``jobs=1`` slices) fall back to executing the shards inline in the
 parent, through the identical slice/merge path.
 
+The sharded executor supervises its workers.  It detects worker
+*crash* (process death, pipe EOF), worker-reported *error*, and
+worker *hang* (an optional per-shard deadline), and re-executes only
+the failed shard under a :class:`RetryPolicy` (capped exponential
+backoff plus deterministic jitter).  A retried shard is bit-identical
+to its first execution by construction: its work is fully determined
+by its slice of the spawned children (asserted differentially in
+``tests/test_supervision.py``).  Every retry surfaces as a typed
+:class:`ShardRetryEvent`.  :class:`ChaosAction` / :class:`WorkerFaults`
+are the fault-injection surface the :mod:`repro.chaos` harness drives;
+production use leaves ``chaos=None``.
+
 Monitor events cross back through per-shard
 :class:`~repro.telemetry.shardbuffer.ShardEventBuffer` instances and,
 when a :class:`~repro.telemetry.bus.TelemetryBus` is attached, are
 replayed onto it in deterministic run order — traces, metrics, and
 provenance subscribers observe the same stream an unsharded run
 would have produced.
+
+The supervision loop reads clocks (monotonic deadlines, backoff
+sleeps, retry timestamps), so this module is on the determinism-lint
+allowlist; clocks never reach simulation state.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
-from dataclasses import dataclass
+import os
+import time
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -134,7 +153,7 @@ def merge_batch_results(
     alive = [shard for shard in shards if shard.runs]
     if not alive:
         first = shards[0]
-        return dataclasses_replace_runs(first, 0)
+        return slice_batch_result(first, 0)
     first = alive[0]
     for shard in alive[1:]:
         if shard.iterations != first.iterations:
@@ -180,9 +199,7 @@ def merge_batch_results(
     )
 
 
-def dataclasses_replace_runs(
-    result: BatchResult, runs: int
-) -> BatchResult:
+def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     """Prefix-slice a batch result down to its first *runs* runs.
 
     Under the spawn contract the first *runs* children of a larger
@@ -215,10 +232,6 @@ def dataclasses_replace_runs(
     )
 
 
-#: Public alias — the service and tests read better with this name.
-slice_batch_result = dataclasses_replace_runs
-
-
 def fold_shard_checkpoints(
     mark_lists: "Sequence[tuple]",
 ) -> list:
@@ -229,7 +242,7 @@ def fold_shard_checkpoints(
     stamps the shard index), then
     :func:`~repro.telemetry.convergence.merge_checkpoint_events`
     rebases them into the one globally-pooled trajectory a serial
-    execution would have emitted — shared by every sharded executor.
+    execution would have emitted.
     """
     if not any(mark_lists):
         return []
@@ -249,7 +262,7 @@ class SerialExecutor:
 
     After an :meth:`execute` that requested checkpoints, the folded
     global trajectory is left on :attr:`checkpoint_events` — the same
-    attribute the sharded executors expose, so callers read one
+    attribute the sharded executor exposes, so callers read one
     surface regardless of strategy.
     """
 
@@ -344,14 +357,146 @@ def _result_of(payload: _ShardPayload, simulator: "BatchSimulator",
     )
 
 
-def _shard_worker(
-    simulator, children, iterations, monitor, offset, conn,
+#: Sleep used by an injected "hang": far beyond any sane deadline, so
+#: the supervisor's terminate is what ends the worker.
+HANG_SLEEP_S = 3600.0
+
+
+@dataclass(frozen=True)
+class ShardRetryEvent:
+    """One supervised re-execution of a failed shard.
+
+    ``reason`` is ``"crash"`` (process died / pipe EOF), ``"hang"``
+    (per-shard deadline exceeded, worker killed), or ``"error"`` (the
+    worker reported an exception).  ``attempt`` is the 0-based attempt
+    that failed; the retry that follows is attempt ``attempt + 1``.
+    """
+
+    shard: int
+    attempt: int
+    reason: str
+    detail: str = ""
+    delay_s: float = 0.0
+    run_start: int = 0
+    run_stop: int = 0
+    #: Replay-order key parity with resilience events (no run index).
+    run: "int | None" = field(default=None, kw_only=True)
+    #: Epoch timestamp of the retry decision (distributed tracing);
+    #: 0.0 means "unstamped" and is dropped from the dict form so the
+    #: serialized shape is unchanged for pre-tracing consumers.
+    noted_at: float = field(default=0.0, kw_only=True)
+
+    kind = "shard-retry"
+
+    def to_dict(self) -> dict:
+        doc = {"kind": self.kind}
+        doc.update(asdict(self))
+        if doc["run"] is None:
+            del doc["run"]
+        if not doc["noted_at"]:
+            del doc["noted_at"]
+        return doc
+
+
+@dataclass(frozen=True)
+class ChaosAction:
+    """A fault the chaos harness injects into one worker attempt.
+
+    ``kind`` is ``"kill"`` (hard ``os._exit``), ``"hang"`` (sleep past
+    any deadline until terminated), ``"slow"`` (sleep ``delay_s`` then
+    run normally), or ``"error"`` (raise inside the worker).
+    """
+
+    kind: str
+    delay_s: float = 0.0
+
+
+class WorkerFaults(Protocol):
+    """A chaos plan consulted once per ``(shard, attempt)`` launch."""
+
+    def action(
+        self, shard: int, attempt: int
+    ) -> "ChaosAction | None":
+        ...
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry with capped exponential backoff and jitter.
+
+    ``retries`` is the number of *re*-executions allowed per shard
+    (``retries=2`` means at most 3 attempts).  Delays grow as
+    ``base_delay_s * 2**(attempt-1)`` capped at ``max_delay_s``, then
+    stretched by up to ``jitter`` (a fraction) of deterministic,
+    shard/attempt-derived noise — reproducible, yet de-synchronised
+    across shards.
+    """
+
+    retries: int = 2
+    base_delay_s: float = 0.05
+    max_delay_s: float = 2.0
+    jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise RuntimeSimulationError(
+                f"retries must be >= 0, got {self.retries}"
+            )
+        if self.base_delay_s < 0 or self.max_delay_s < 0:
+            raise RuntimeSimulationError("backoff delays must be >= 0")
+
+    def delay(self, shard: int, attempt: int) -> float:
+        """Backoff before retry number *attempt* (1-based) of *shard*."""
+        if attempt < 1:
+            return 0.0
+        base = min(
+            self.max_delay_s,
+            self.base_delay_s * (2.0 ** (attempt - 1)),
+        )
+        return base * (1.0 + self.jitter * _unit_noise(shard, attempt))
+
+
+def _unit_noise(shard: int, attempt: int) -> float:
+    """Deterministic pseudo-uniform value in ``[0, 1)``.
+
+    Hash-derived so backoff jitter needs no RNG state (and therefore
+    cannot perturb any seeded simulation stream).
+    """
+    digest = hashlib.sha256(
+        f"shard-backoff:{shard}:{attempt}".encode("ascii")
+    ).digest()
+    return int.from_bytes(digest[:8], "big") / float(2**64)
+
+
+def _supervised_worker(
+    simulator, children, iterations, monitor, offset, conn, action,
     trace=None, checkpoints=None,
 ):
-    """Entry point of one forked shard worker."""
+    """Entry point of one forked shard worker.
+
+    The optional injected chaos *action* is applied before (or
+    instead of) the real work.  A failed attempt ships no span and no checkpoint events: only the
+    attempt that succeeds records them, so a retried shard still
+    yields exactly one span and one slice-local checkpoint stream.
+    """
     from repro.telemetry.distributed import shard_span
 
     try:
+        if action is not None:
+            if action.kind == "kill":
+                conn.close()
+                os._exit(17)
+            if action.kind == "hang":
+                time.sleep(
+                    action.delay_s if action.delay_s > 0
+                    else HANG_SLEEP_S
+                )
+            elif action.kind == "slow":
+                time.sleep(action.delay_s)
+            elif action.kind == "error":
+                raise RuntimeSimulationError(
+                    "chaos: injected worker error"
+                )
         marks: list = []
         with shard_span(
             trace, offset, offset + len(children)
@@ -372,7 +517,10 @@ def _shard_worker(
             )
         )
     except BaseException as error:  # ship the failure to the parent
-        conn.send(("error", f"{type(error).__name__}: {error}"))
+        try:
+            conn.send(("error", f"{type(error).__name__}: {error}"))
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            pass
     finally:
         conn.close()
 
@@ -385,29 +533,82 @@ def _fork_context() -> "Any | None":
         return None
 
 
+class _ShardState:
+    """Supervision bookkeeping of one shard across its attempts."""
+
+    def __init__(
+        self, index: int, start: int, stop: int, offset: int = 0
+    ) -> None:
+        self.index = index
+        self.start = start
+        self.stop = stop
+        #: Global run index of the whole batch's first run (nonzero
+        #: when the adaptive driver executes a chunk mid-sequence);
+        #: ``offset + start`` is this shard's global first run.
+        self.offset = offset
+        self.attempt = 0
+        self.process: Any = None
+        self.conn: Any = None
+        self.deadline_at: "float | None" = None
+        self.result: "BatchResult | None" = None
+        self.spans: tuple = ()
+        self.checkpoints: tuple = ()
+
+    def kill(self) -> None:
+        """Best-effort terminate of a live worker."""
+        if self.conn is not None:
+            try:
+                self.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            self.conn = None
+        if self.process is not None and self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+            if self.process.is_alive():  # pragma: no cover - stuck
+                self.process.kill()
+                self.process.join(timeout=5.0)
+        self.process = None
+
+
 class ShardedExecutor:
-    """Fan one batch out over *jobs* forked worker processes.
+    """Fan one batch out over *jobs* supervised worker processes.
+
+    A worker crash, hang, or error re-executes only the failed shard
+    (bit-identically), so a batch survives transient worker loss.
 
     Parameters
     ----------
     jobs:
-        Number of worker shards (>= 1).  ``jobs=1`` degenerates to the
-        serial path without forking.
+        Number of worker shards (>= 1).  ``jobs=1`` runs its one shard
+        inline without forking.
+    policy:
+        :class:`RetryPolicy` bounding re-executions and backoff;
+        ``None`` means ``RetryPolicy()``.
+    deadline_s:
+        Per-shard wall-clock deadline; a worker still silent past it
+        is killed and retried.  ``None`` disables hang detection
+        (crash/error supervision still applies).
     processes:
-        ``False`` executes the shards inline in the parent — the same
-        slice/merge arithmetic without process overhead (also the
-        automatic fallback where ``fork`` is unavailable).
+        ``False`` (or a platform without ``fork``) executes shards
+        inline in the parent — the same slice/merge arithmetic, with
+        the same retry loop around each slice.
     telemetry:
-        Optional :class:`~repro.telemetry.bus.TelemetryBus`; the
+        Optional :class:`~repro.telemetry.bus.TelemetryBus`;
+        :class:`ShardRetryEvent` instances are appended live, and the
         merged monitor-event stream is replayed onto it in
         deterministic run order after the shards complete.
+    chaos:
+        Optional :class:`WorkerFaults` plan (testing/chaos only).
     trace:
         Optional :class:`~repro.telemetry.distributed.TraceContext`.
-        When set, every shard (forked or inline) records one
-        epoch-stamped span; the merged, run-ordered span list is left
-        on :attr:`shard_spans` after :meth:`execute` for the service's
-        distributed job trace.  Tracing is observer-only — it rides
-        outside the batch payload and never changes results.
+        When set, the successful attempt of every shard records one
+        epoch-stamped span (stamped with the attempt number by the
+        supervisor), merged in run order onto :attr:`shard_spans`
+        after :meth:`execute`.  Failed attempts ship no span, so a
+        kill/retry still leaves exactly one span per shard.  Tracing
+        is observer-only — it rides outside the batch payload and
+        never changes results.
     """
 
     name = "sharded"
@@ -415,20 +616,40 @@ class ShardedExecutor:
     def __init__(
         self,
         jobs: int,
+        policy: "RetryPolicy | None" = None,
+        deadline_s: "float | None" = None,
         processes: bool = True,
         telemetry: "TelemetryBus | None" = None,
+        chaos: "WorkerFaults | None" = None,
         trace: "Any | None" = None,
     ) -> None:
         if jobs < 1:
             raise RuntimeSimulationError(
                 f"jobs must be >= 1, got {jobs}"
             )
+        if deadline_s is not None and deadline_s <= 0:
+            raise RuntimeSimulationError(
+                f"deadline_s must be > 0, got {deadline_s}"
+            )
         self.jobs = jobs
+        self.policy = policy or RetryPolicy()
+        self.deadline_s = deadline_s
         self.processes = processes
         self.telemetry = telemetry
+        self.chaos = chaos
         self.trace_context = trace
+        #: Retry events of the most recent :meth:`execute` call.
+        self.retry_events: list[ShardRetryEvent] = []
+        #: Merged tracing spans of the most recent :meth:`execute`.
         self.shard_spans: list[dict] = []
+        #: Globally-pooled convergence trajectory of the most recent
+        #: :meth:`execute` call that requested checkpoints.
         self.checkpoint_events: list = []
+        #: The checkpoint schedule of the in-flight :meth:`execute`
+        #: (read by `_launch`, including relaunches after a retry).
+        self._chunk_checkpoints: "Sequence[int] | None" = None
+
+    # -- the BatchExecutor protocol -------------------------------------
 
     def execute(
         self,
@@ -441,49 +662,42 @@ class ShardedExecutor:
         checkpoints: "Sequence[int] | None" = None,
         on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
-        from repro.telemetry.distributed import shard_span
-
+        self.retry_events = []
         self.shard_spans = []
         self.checkpoint_events = []
-        slices = shard_slices(len(children), self.jobs)
-        context = _fork_context() if self.processes else None
-        span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
+        self._chunk_checkpoints = checkpoints
         want_marks = (
             checkpoints is not None or on_checkpoint is not None
         )
-        if len(slices) <= 1 or context is None:
-            shards = []
-            for start, stop in slices:
-                marks: list = []
-                with shard_span(
-                    self.trace_context,
-                    run_offset + start,
-                    run_offset + stop,
-                ) as recorder:
-                    shards.append(
-                        simulator.run_slice(
-                            children[start:stop], iterations, monitor,
-                            run_offset=run_offset + start,
-                            checkpoints=checkpoints,
-                            on_checkpoint=(
-                                marks.append if want_marks else None
-                            ),
-                        )
-                    )
-                span_lists.append(tuple(recorder.spans))
-                mark_lists.append(tuple(marks))
-        else:
-            shards, span_lists, mark_lists = self._execute_processes(
-                context, simulator, children, iterations, monitor,
-                slices, run_offset, checkpoints if want_marks else None,
-            )
-        merged = merge_batch_results(shards) if shards else (
-            simulator.run_slice(
+        slices = shard_slices(len(children), self.jobs)
+        context = _fork_context() if self.processes else None
+        if not slices:
+            return simulator.run_slice(
                 children, iterations, monitor, run_offset=run_offset
             )
-        )
-        self._deliver_checkpoints(mark_lists, on_checkpoint)
+        span_lists: list[tuple] = []
+        mark_lists: list[tuple] = []
+        if len(slices) <= 1 or context is None:
+            shards = []
+            for index, (start, stop) in enumerate(slices):
+                result, spans, marks = self._execute_inline(
+                    simulator, children, iterations, monitor,
+                    index, start, stop, run_offset,
+                    collect_marks=want_marks,
+                )
+                shards.append(result)
+                span_lists.append(spans)
+                mark_lists.append(marks)
+        else:
+            shards, span_lists, mark_lists = self._supervise(
+                context, simulator, children, iterations, monitor,
+                slices, run_offset,
+            )
+        merged = merge_batch_results(shards)
+        self.checkpoint_events = fold_shard_checkpoints(mark_lists)
+        if on_checkpoint is not None:
+            for event in self.checkpoint_events:
+                on_checkpoint(event)
         if self.telemetry is not None or self.trace_context is not None:
             from repro.telemetry.shardbuffer import (
                 ShardEventBuffer,
@@ -492,13 +706,14 @@ class ShardedExecutor:
             )
 
             buffers = []
-            for index, shard in enumerate(shards):
+            for index, (shard, spans) in enumerate(
+                zip(shards, span_lists)
+            ):
                 buffer = ShardEventBuffer(shard=index)
                 for event in shard.monitor_events:
                     buffer.on_event(event)
-                if index < len(span_lists):
-                    for span in span_lists[index]:
-                        buffer.on_span(span)
+                for span in spans:
+                    buffer.on_span(span)
                 buffers.append(buffer)
             if self.telemetry is not None:
                 replay_sharded(buffers, self.telemetry)
@@ -507,55 +722,231 @@ class ShardedExecutor:
             self.shard_spans = collect_spans(buffers)
         return merged
 
-    def _deliver_checkpoints(
-        self, mark_lists: "Sequence[tuple]", on_checkpoint
-    ) -> None:
-        """Fold per-shard checkpoint streams and notify the observer."""
-        self.checkpoint_events = fold_shard_checkpoints(mark_lists)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
+    # -- retry bookkeeping ----------------------------------------------
 
-    def _execute_processes(
-        self, context, simulator, children, iterations, monitor,
-        slices, run_offset=0, checkpoints=None,
-    ) -> tuple[list[BatchResult], list[tuple], list[tuple]]:
-        workers = []
-        for start, stop in slices:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_shard_worker,
-                args=(
-                    simulator, children[start:stop], iterations,
-                    monitor, run_offset + start, child_conn,
-                    self.trace_context, checkpoints,
-                ),
+    def _note_retry(
+        self, state: _ShardState, reason: str, detail: str,
+        delay: float,
+    ) -> None:
+        event = ShardRetryEvent(
+            shard=state.index,
+            attempt=state.attempt,
+            reason=reason,
+            detail=detail,
+            delay_s=delay,
+            run_start=state.offset + state.start,
+            run_stop=state.offset + state.stop,
+            noted_at=time.time(),
+        )
+        self.retry_events.append(event)
+        if self.telemetry is not None:
+            self.telemetry.append(event)
+
+    def _give_up(self, state: _ShardState, detail: str) -> None:
+        first = state.offset + state.start
+        last = state.offset + state.stop - 1
+        raise RuntimeSimulationError(
+            f"sharded batch worker failed: shard {state.index} "
+            f"(runs {first}..{last}) failed after "
+            f"{state.attempt + 1} attempt(s): {detail}"
+        )
+
+    # -- inline path -----------------------------------------------------
+
+    def _execute_inline(
+        self, simulator, children, iterations, monitor,
+        index, start, stop, run_offset=0, collect_marks=False,
+    ) -> tuple[BatchResult, tuple, tuple]:
+        from repro.telemetry.distributed import shard_span
+
+        state = _ShardState(index, start, stop, offset=run_offset)
+        while True:
+            action = (
+                self.chaos.action(state.index, state.attempt)
+                if self.chaos is not None else None
             )
-            process.start()
-            child_conn.close()
-            workers.append((process, parent_conn))
-        shards: list[BatchResult] = []
-        span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
-        failures: list[str] = []
-        for process, conn in workers:
             try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "error", "worker died before replying"
-            finally:
-                conn.close()
-            process.join()
-            if status == "ok":
-                shards.append(
-                    _result_of(payload, simulator, iterations)
+                if action is not None and action.kind in (
+                    "kill", "hang", "error",
+                ):
+                    # Inline, every injected fault class degenerates
+                    # to a raised error (there is no process to kill).
+                    raise RuntimeSimulationError(
+                        f"chaos: injected {action.kind}"
+                    )
+                if action is not None and action.kind == "slow":
+                    time.sleep(action.delay_s)
+                marks: list = []
+                with shard_span(
+                    self.trace_context,
+                    run_offset + start, run_offset + stop,
+                    attempt=state.attempt,
+                ) as recorder:
+                    result = simulator.run_slice(
+                        children[start:stop], iterations, monitor,
+                        run_offset=run_offset + start,
+                        checkpoints=self._chunk_checkpoints,
+                        on_checkpoint=(
+                            marks.append if collect_marks else None
+                        ),
+                    )
+                return result, tuple(recorder.spans), tuple(marks)
+            except RuntimeSimulationError as error:
+                if state.attempt >= self.policy.retries:
+                    self._give_up(state, str(error))
+                delay = self.policy.delay(
+                    state.index, state.attempt + 1
                 )
-                span_lists.append(tuple(payload.spans))
-                mark_lists.append(tuple(payload.checkpoints))
-            else:
-                failures.append(str(payload))
-        if failures:
-            raise RuntimeSimulationError(
-                f"sharded batch worker failed: {failures[0]}"
-            )
-        return shards, span_lists, mark_lists
+                self._note_retry(state, "error", str(error), delay)
+                if delay > 0:
+                    time.sleep(delay)
+                state.attempt += 1
+
+    # -- process path ----------------------------------------------------
+
+    def _launch(self, context, simulator, children, iterations,
+                monitor, state: _ShardState) -> None:
+        action = (
+            self.chaos.action(state.index, state.attempt)
+            if self.chaos is not None else None
+        )
+        parent_conn, child_conn = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_supervised_worker,
+            args=(
+                simulator, children[state.start:state.stop],
+                iterations, monitor, state.offset + state.start,
+                child_conn, action, self.trace_context,
+                self._chunk_checkpoints,
+            ),
+        )
+        process.start()
+        child_conn.close()
+        state.process = process
+        state.conn = parent_conn
+        state.deadline_at = (
+            None if self.deadline_s is None
+            else time.monotonic() + self.deadline_s
+        )
+
+    def _supervise(
+        self, context, simulator, children, iterations, monitor,
+        slices, run_offset=0,
+    ) -> tuple[list[BatchResult], list[tuple], list[tuple]]:
+        from multiprocessing.connection import wait as conn_wait
+
+        states = [
+            _ShardState(index, start, stop, offset=run_offset)
+            for index, (start, stop) in enumerate(slices)
+        ]
+        try:
+            for state in states:
+                self._launch(
+                    context, simulator, children, iterations, monitor,
+                    state,
+                )
+            #: Shards sleeping out a backoff: (wake_at, state).
+            parked: list[tuple[float, _ShardState]] = []
+            while True:
+                active = {
+                    state.conn: state
+                    for state in states
+                    if state.conn is not None
+                }
+                if not active and not parked:
+                    break
+                now = time.monotonic()
+                # Wake parked shards whose backoff elapsed.
+                due = [s for wake, s in parked if wake <= now]
+                parked = [
+                    (wake, s) for wake, s in parked if wake > now
+                ]
+                for state in due:
+                    self._launch(
+                        context, simulator, children, iterations,
+                        monitor, state,
+                    )
+                    active[state.conn] = state
+                # Earliest thing worth waking for: a shard deadline
+                # or a parked retry.
+                horizons = [
+                    state.deadline_at
+                    for state in active.values()
+                    if state.deadline_at is not None
+                ] + [wake for wake, _ in parked]
+                timeout = (
+                    None if not horizons
+                    else max(0.0, min(horizons) - now)
+                )
+                if active:
+                    ready = conn_wait(
+                        list(active), timeout=timeout
+                    )
+                elif timeout:  # all shards parked: sleep it out
+                    time.sleep(timeout)
+                    ready = []
+                else:
+                    ready = []
+                for conn in ready:
+                    state = active[conn]
+                    try:
+                        status, payload = conn.recv()
+                    except EOFError:
+                        self._retire(state, "crash",
+                                     "worker died before replying",
+                                     parked)
+                        continue
+                    if status == "ok":
+                        state.result = _result_of(
+                            payload, simulator, iterations
+                        )
+                        # Workers don't know which attempt they are;
+                        # the supervisor stamps it parent-side so the
+                        # surviving span names the rescue attempt.
+                        state.spans = tuple(
+                            {**span, "attempt": state.attempt}
+                            for span in payload.spans
+                        )
+                        state.checkpoints = tuple(payload.checkpoints)
+                        conn.close()
+                        state.conn = None
+                        state.process.join()
+                        state.process = None
+                    else:
+                        self._retire(state, "error", str(payload),
+                                     parked)
+                # Hang detection: anyone past their deadline?
+                now = time.monotonic()
+                for state in list(active.values()):
+                    if (
+                        state.conn is not None
+                        and state.deadline_at is not None
+                        and state.deadline_at <= now
+                    ):
+                        self._retire(
+                            state, "hang",
+                            f"no reply within {self.deadline_s}s "
+                            f"deadline", parked,
+                        )
+        except BaseException:
+            for state in states:
+                state.kill()
+            raise
+        return (
+            [state.result for state in states],
+            [state.spans for state in states],
+            [state.checkpoints for state in states],
+        )
+
+    def _retire(
+        self, state: _ShardState, reason: str, detail: str,
+        parked: "list[tuple[float, _ShardState]]",
+    ) -> None:
+        """Kill a failed attempt and park the shard for retry."""
+        state.kill()
+        if state.attempt >= self.policy.retries:
+            self._give_up(state, f"{reason}: {detail}")
+        delay = self.policy.delay(state.index, state.attempt + 1)
+        self._note_retry(state, reason, detail, delay)
+        state.attempt += 1
+        parked.append((time.monotonic() + delay, state))

@@ -21,9 +21,9 @@ are answered from cache instead of recomputed:
 PR 8 hardens the fleet: per-job deadlines and cancellation (terminal
 states ``timed_out`` / ``cancelled``), a bounded queue with 429 +
 ``Retry-After`` backpressure, graceful drain on SIGTERM, an
-LRU-bounded crash-safe cache, and
-:class:`~repro.service.supervision.SupervisedShardedExecutor`, which
-restarts crashed or hung shard workers bit-identically.  The
+LRU-bounded crash-safe cache, and shard supervision in
+:class:`~repro.runtime.executor.ShardedExecutor`, which restarts
+crashed or hung shard workers bit-identically.  The
 :mod:`repro.chaos` harness injects those faults deterministically and
 asserts the guarantees hold.
 
@@ -42,6 +42,12 @@ failure-mode guarantees, and ``docs/observability.md`` for tracing a
 job across the fleet.
 """
 
+from repro.runtime.executor import (
+    ChaosAction,
+    RetryPolicy,
+    ShardedExecutor,
+    ShardRetryEvent,
+)
 from repro.service.cache import McKey, ResultCache, ServiceMetrics
 from repro.service.client import (
     ServiceBusyError,
@@ -59,12 +65,6 @@ from repro.service.jobs import (
 from repro.service.server import serve
 from repro.service.slo import SloTracker
 from repro.service.slog import ServiceLog
-from repro.service.supervision import (
-    ChaosAction,
-    RetryPolicy,
-    ShardRetryEvent,
-    SupervisedShardedExecutor,
-)
 from repro.service.top import (
     parse_prometheus,
     render_frame,
@@ -88,8 +88,8 @@ __all__ = [
     "ServiceMetrics",
     "ServiceQueueFull",
     "ShardRetryEvent",
+    "ShardedExecutor",
     "SloTracker",
-    "SupervisedShardedExecutor",
     "TERMINAL_STATES",
     "parse_prometheus",
     "render_frame",

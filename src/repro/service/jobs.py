@@ -38,10 +38,9 @@ discarded, never resurrected); the queue is bounded
 rejecting new submissions (:class:`ServiceDraining` → 503), and
 :meth:`ReliabilityService.stop` cancels still-queued jobs so waiters
 return promptly instead of blocking out their full timeout.  Sharded
-cache misses run under the
-:class:`~repro.service.supervision.SupervisedShardedExecutor`, so a
-crashed or hung shard worker is retried (bit-identically) instead of
-failing the job.
+simulations run under the supervised
+:class:`~repro.runtime.executor.ShardedExecutor`, so a crashed or hung
+shard worker is retried (bit-identically) instead of failing the job.
 
 Observability (PR 9): every job carries a ``trace_id`` (client-minted
 or server-minted), job-lifecycle stages feed latency histograms in
@@ -298,7 +297,7 @@ class ReliabilityService:
         :meth:`submit` raises :class:`ServiceQueueFull` (429).
         ``None`` keeps the PR 7 unbounded queue.
     shard_retries / shard_deadline_s:
-        Supervision knobs for sharded cache misses: re-executions
+        Supervision knobs for sharded simulations: re-executions
         allowed per failed shard worker, and the per-shard hang
         deadline (``None`` disables hang detection).
     cache_entries / cache_bytes / cache_dir:
@@ -308,7 +307,11 @@ class ReliabilityService:
         Deadline applied to jobs that do not carry ``timeout_s``.
     executor_factory:
         Testing/chaos hook: ``factory(shards) -> BatchExecutor``
-        overriding the supervised default for sharded misses.
+        overriding the default
+        :class:`~repro.runtime.executor.ShardedExecutor` for sharded
+        simulations.  The executor must also expose the
+        ``retry_events`` and ``shard_spans`` lists the default one
+        leaves after each execution.
     log:
         Structured JSONL service log: a
         :class:`~repro.service.slog.ServiceLog`, a path to append to,
@@ -944,15 +947,12 @@ class ReliabilityService:
         return doc
 
     def _executor(self, shards: int):
-        """The batch executor of a sharded cache miss."""
+        """The batch executor of a sharded simulation."""
         if self.executor_factory is not None:
             return self.executor_factory(shards)
-        from repro.service.supervision import (
-            RetryPolicy,
-            SupervisedShardedExecutor,
-        )
+        from repro.runtime.executor import RetryPolicy, ShardedExecutor
 
-        return SupervisedShardedExecutor(
+        return ShardedExecutor(
             shards,
             policy=RetryPolicy(retries=self.shard_retries),
             deadline_s=self.shard_deadline_s,
@@ -960,14 +960,44 @@ class ReliabilityService:
 
     def _note_shard_retries(self, job: Job, executor: Any) -> None:
         """Surface supervised retries on the job stream and counters."""
-        events = getattr(executor, "retry_events", None) or ()
+        events = executor.retry_events
         for event in events:
             job.emit("shard-retry", **event.to_dict())
         if events:
             self.metrics.add("shard_retries", len(events))
         # Worker shard spans ride on the executor after execution;
         # collect them onto the job for the merged distributed trace.
-        job.spans.extend(getattr(executor, "shard_spans", None) or ())
+        job.spans.extend(executor.shard_spans)
+
+    def _run_chunk(
+        self, job: Job, sim, executor: Any, seed: int, start: int,
+        stop: int, iterations: int, monitor,
+    ):
+        """Simulate runs ``start..stop-1`` of the job's spawned batch.
+
+        Misses, tail upgrades and adaptive chunks all pass through
+        here, so every one of them runs on the job's executor.
+        """
+        # spawn(n)[k] == SeedSequence(seed, spawn_key=(k,)), so a tail
+        # chunk builds only its own children.
+        children = [
+            np.random.SeedSequence(seed, spawn_key=(k,))
+            for k in range(start, stop)
+        ]
+        job.emit("simulating", runs=len(children), offset=start)
+        # run_offset is an optional executor capability: forward it
+        # only when a chunk starts mid-sequence.
+        extra = {"run_offset": start} if start else {}
+        stage_t0 = time.perf_counter()
+        chunk = sim.executor.execute(
+            sim, children, iterations, monitor, **extra
+        )
+        self.metrics.observe_stage(
+            "simulate", time.perf_counter() - stage_t0
+        )
+        if executor is not None:
+            self._note_shard_retries(job, executor)
+        return chunk
 
     def _simulate(self, job: Job) -> dict:
         from repro.analysis import Verifier
@@ -1034,56 +1064,32 @@ class ReliabilityService:
             self.metrics.add("mc_cache_hits")
             job.emit("cache", cache="hit", cached_runs=cached.runs)
             result = slice_batch_result(cached, runs)
-        elif kind == "partial":
-            simulated = runs - cached.runs
-            self.metrics.add("mc_cache_partial")
-            self.metrics.add("runs_simulated_total", simulated)
-            job.emit(
-                "cache", cache="partial",
-                cached_runs=cached.runs, delta=simulated,
-            )
-            # Tail children: spawn(runs)[k] == SeedSequence(seed,
-            # spawn_key=(k,)), so only the missing suffix is built.
-            children = [
-                np.random.SeedSequence(seed, spawn_key=(k,))
-                for k in range(cached.runs, runs)
-            ]
-            job.emit("simulating", runs=simulated, offset=cached.runs)
-            stage_t0 = time.perf_counter()
-            tail = simulator().run_slice(
-                children, iterations, monitor,
-                run_offset=cached.runs,
-            )
-            self.metrics.observe_stage(
-                "simulate", time.perf_counter() - stage_t0
-            )
-            if executor is not None:
-                self._note_shard_retries(job, executor)
-            job.emit(
-                "merging", cached_runs=cached.runs,
-                tail_runs=tail.runs,
-            )
-            stage_t0 = time.perf_counter()
-            result = merge_batch_results([cached, tail])
-            self.metrics.observe_stage(
-                "merge", time.perf_counter() - stage_t0
-            )
-            self.cache.store(key, result)
         else:
-            simulated = runs
-            self.metrics.add("mc_cache_misses")
-            self.metrics.add("runs_simulated_total", runs)
-            job.emit("cache", cache="miss")
-            job.emit("simulating", runs=runs, offset=0)
-            stage_t0 = time.perf_counter()
-            result = simulator().run_batch(
-                runs, iterations, monitor=monitor
+            have = 0 if cached is None else cached.runs
+            simulated = runs - have
+            if cached is None:
+                self.metrics.add("mc_cache_misses")
+                job.emit("cache", cache="miss")
+            else:
+                self.metrics.add("mc_cache_partial")
+                job.emit(
+                    "cache", cache="partial",
+                    cached_runs=have, delta=simulated,
+                )
+            self.metrics.add("runs_simulated_total", simulated)
+            result = self._run_chunk(
+                job, simulator(), executor, seed, have, runs,
+                iterations, monitor,
             )
-            self.metrics.observe_stage(
-                "simulate", time.perf_counter() - stage_t0
-            )
-            if executor is not None:
-                self._note_shard_retries(job, executor)
+            if cached is not None:
+                job.emit(
+                    "merging", cached_runs=have, tail_runs=result.runs,
+                )
+                stage_t0 = time.perf_counter()
+                result = merge_batch_results([cached, result])
+                self.metrics.observe_stage(
+                    "merge", time.perf_counter() - stage_t0
+                )
             self.cache.store(key, result)
         stage_t0 = time.perf_counter()
         entry = self._persist(job, spec, arch, impl, result, seed, runs)
@@ -1173,26 +1179,13 @@ class ReliabilityService:
         for boundary in schedule:
             have = 0 if merged is None else merged.runs
             if boundary > have:
-                children = [
-                    np.random.SeedSequence(seed, spawn_key=(k,))
-                    for k in range(have, boundary)
-                ]
-                job.emit(
-                    "simulating", runs=len(children), offset=have,
-                )
                 if sim is None:
                     sim = simulator()
-                stage_t0 = time.perf_counter()
-                chunk = sim.executor.execute(
-                    sim, children, iterations, monitor,
-                    run_offset=have,
-                )
-                self.metrics.observe_stage(
-                    "simulate", time.perf_counter() - stage_t0
+                chunk = self._run_chunk(
+                    job, sim, executor, seed, have, boundary,
+                    iterations, monitor,
                 )
                 simulated += chunk.runs
-                if executor is not None:
-                    self._note_shard_retries(job, executor)
                 merged = (
                     chunk if merged is None
                     else merge_batch_results([merged, chunk])

@@ -47,7 +47,7 @@ from repro.runtime import (
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.service.supervision import ChaosAction, SupervisedShardedExecutor
+from repro.runtime.executor import ChaosAction
 from repro.telemetry import ShardEventBuffer
 from repro.telemetry.convergence import (
     CheckpointEvent,
@@ -366,7 +366,7 @@ def test_stop_point_survives_supervised_worker_kills():
     rule = StoppingRule(min_runs=8)
     _, serial_batch = three_tank_batch()
     serial = serial_batch.run_adaptive(320, 20, rule=rule)
-    executor = SupervisedShardedExecutor(2, chaos=KillFirstAttempt())
+    executor = ShardedExecutor(2, chaos=KillFirstAttempt())
     _, supervised_batch = three_tank_batch(executor=executor)
     supervised = supervised_batch.run_adaptive(320, 20, rule=rule)
 

@@ -38,10 +38,10 @@ from repro.service import ReliabilityService, ServiceLog, SloTracker
 from repro.service.cache import ServiceMetrics
 from repro.service.client import ServiceClient
 from repro.service.server import PROMETHEUS_CONTENT_TYPE, make_server
-from repro.service.supervision import (
+from repro.runtime.executor import (
     ChaosAction,
     RetryPolicy,
-    SupervisedShardedExecutor,
+    ShardedExecutor,
 )
 from repro.service.top import (
     parse_prometheus,
@@ -189,7 +189,7 @@ def test_traced_job_survives_worker_kill(tmp_path):
     chaos = KillShardOnce()
     service = make_service(
         workers=1,
-        executor_factory=lambda shards: SupervisedShardedExecutor(
+        executor_factory=lambda shards: ShardedExecutor(
             shards,
             policy=RetryPolicy(
                 retries=2, base_delay_s=0.01, max_delay_s=0.05

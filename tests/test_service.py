@@ -159,6 +159,34 @@ def test_runs_upgrade_is_bit_identical_to_fresh_full_batch():
     assert cached.monitor_events == fresh.monitor_events
 
 
+def test_sharded_runs_upgrade_runs_on_the_executor():
+    service = make_service(tracing=True)
+    run_job(service, simulate_document(runs=500, seed=77))
+    upgraded = run_job(
+        service, simulate_document(runs=1000, seed=77, jobs=2)
+    )
+    assert upgraded.result["cache"] == "partial"
+    assert upgraded.result["simulated_runs"] == 500
+    # The 500-run tail is split over two shard workers, each of which
+    # leaves exactly one span in the job's merged trace.
+    trace = service.job_trace(upgraded.id)
+    shard_spans = [
+        event for event in trace["traceEvents"]
+        if event.get("cat") == "shard"
+    ]
+    assert sorted(e["args"]["shard"] for e in shard_spans) == [0, 1]
+    spec = three_tank_spec(lrc_u=0.99, functions=FUNCTIONS)
+    arch = three_tank_architecture()
+    fresh = BatchSimulator(
+        spec, arch, baseline_implementation(),
+        faults=BernoulliFaults(arch), seed=77,
+    ).run_batch(1000, 20)
+    averages = fresh.limit_averages()
+    assert upgraded.result["rates"] == {
+        name: float(averages[name].mean()) for name in sorted(averages)
+    }
+
+
 def test_runs_downgrade_is_served_from_cache():
     service = make_service()
     run_job(service, simulate_document(runs=15))
@@ -513,6 +541,8 @@ class SlowExecutor:
     """Inline executor that dawdles before simulating (tests only)."""
 
     name = "slow"
+    retry_events = ()
+    shard_spans = ()
 
     def __init__(self, delay_s):
         self.delay_s = delay_s

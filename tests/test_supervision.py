@@ -1,8 +1,8 @@
 """Supervised shard execution: retries are invisible, failures bounded.
 
-The tentpole claim: :class:`SupervisedShardedExecutor` can lose a
-worker to a crash, a hang, or an injected error and still return a
-result **bit-identical** to the unsupervised (and serial) execution,
+The claim: :class:`ShardedExecutor` can lose a worker to a crash, a
+hang, or an injected error and still return a result
+**bit-identical** to a fault-free (and serial) execution,
 because a shard's work is a pure function of its
 ``SeedSequence.spawn`` slice.  The differential suite drives that
 over Hypothesis-generated systems with hash-scheduled faults; the
@@ -29,11 +29,10 @@ from repro.runtime import (
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.service.supervision import (
+from repro.runtime.executor import (
     ChaosAction,
     RetryPolicy,
     ShardRetryEvent,
-    SupervisedShardedExecutor,
     _unit_noise,
 )
 from repro.telemetry import TelemetryBus
@@ -123,9 +122,9 @@ def test_retry_policy_rejects_nonsense():
     with pytest.raises(RuntimeSimulationError):
         RetryPolicy(base_delay_s=-0.1)
     with pytest.raises(RuntimeSimulationError):
-        SupervisedShardedExecutor(0)
+        ShardedExecutor(0)
     with pytest.raises(RuntimeSimulationError):
-        SupervisedShardedExecutor(2, deadline_s=0.0)
+        ShardedExecutor(2, deadline_s=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +154,7 @@ def test_supervised_inline_is_bit_identical_under_faults(
 
     serial = run(SerialExecutor())
     supervised = run(
-        SupervisedShardedExecutor(
+        ShardedExecutor(
             jobs, policy=FAST_POLICY, processes=False,
             chaos=HashFaults(seed),
         )
@@ -168,7 +167,7 @@ def test_supervised_processes_survive_kill_hang_error(seed):
     serial = three_tank_simulator(seed=seed).run_batch(
         10, 12, monitor=MonitorConfig(window=5)
     )
-    executor = SupervisedShardedExecutor(
+    executor = ShardedExecutor(
         3, policy=FAST_POLICY, deadline_s=1.0,
         chaos=HashFaults(seed),
     )
@@ -188,7 +187,7 @@ def test_supervised_matches_unsupervised_fault_free():
         executor=ShardedExecutor(2)
     ).run_batch(8, 10)
     supervised = three_tank_simulator(
-        executor=SupervisedShardedExecutor(2)
+        executor=ShardedExecutor(2)
     ).run_batch(8, 10)
     assert_identical(plain, supervised)
 
@@ -207,7 +206,7 @@ class AlwaysFault:
 
 
 def test_hang_is_detected_and_retried_to_exhaustion():
-    executor = SupervisedShardedExecutor(
+    executor = ShardedExecutor(
         2,
         policy=RetryPolicy(retries=1, base_delay_s=0.005),
         deadline_s=0.3,
@@ -222,7 +221,7 @@ def test_hang_is_detected_and_retried_to_exhaustion():
 
 
 def test_crash_exhaustion_names_the_shard_and_runs():
-    executor = SupervisedShardedExecutor(
+    executor = ShardedExecutor(
         2,
         policy=RetryPolicy(retries=0),
         chaos=AlwaysFault("kill"),
@@ -233,8 +232,32 @@ def test_crash_exhaustion_names_the_shard_and_runs():
         three_tank_simulator(executor=executor).run_batch(4, 6)
 
 
+class KillFirstShard:
+    def action(self, shard, attempt):
+        return ChaosAction("kill") if shard == 0 else None
+
+
+def test_give_up_names_global_runs_of_an_offset_chunk():
+    executor = ShardedExecutor(
+        2,
+        policy=RetryPolicy(retries=0),
+        chaos=KillFirstShard(),
+    )
+    simulator = three_tank_simulator(executor=executor)
+    children = [
+        np.random.SeedSequence(simulator.seed, spawn_key=(k,))
+        for k in range(100, 104)
+    ]
+    with pytest.raises(
+        RuntimeSimulationError,
+        match=r"^sharded batch worker failed: shard 0 \(runs 100\.\.101\)"
+        r" failed after 1 attempt\(s\): crash",
+    ):
+        executor.execute(simulator, children, 6, run_offset=100)
+
+
 def test_inline_path_retries_errors():
-    executor = SupervisedShardedExecutor(
+    executor = ShardedExecutor(
         2, policy=FAST_POLICY, processes=False,
         chaos=HashFaults(5),
     )
@@ -252,7 +275,7 @@ def test_inline_path_retries_errors():
 
 def test_retry_events_reach_the_telemetry_bus():
     bus = TelemetryBus()
-    executor = SupervisedShardedExecutor(
+    executor = ShardedExecutor(
         2, policy=FAST_POLICY, deadline_s=1.0,
         telemetry=bus, chaos=HashFaults(3),
     )

@@ -20,6 +20,10 @@ in:
   etc. outside the sanctioned entry points.  The CLI may time its own
   progress and the telemetry layer exists to record clocks; analysis,
   model, runtime, and synthesis code must not observe time at all.
+  The one runtime exception is the shard executor
+  (``runtime/executor.py``): its supervision loop reads monotonic
+  deadlines and backoff sleeps to rescue failed workers, and no clock
+  reaches simulation state.
 
 Run it directly (CI does)::
 
@@ -53,7 +57,7 @@ CLOCK_ALLOWLIST = frozenset(
         "service/client.py",
         # Supervision and chaos read deadlines and backoff clocks;
         # faults and jitter are hash-derived, never RNG-stateful.
-        "service/supervision.py",
+        "runtime/executor.py",
         "chaos/harness.py",
         # Distributed tracing and the structured service log stamp
         # epoch timestamps onto observer-only records.
