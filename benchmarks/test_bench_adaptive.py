@@ -1,14 +1,10 @@
-"""Adaptive-stopping benchmark: convergence speedup, checkpoint cost.
+"""Adaptive-stopping benchmark: convergence speedup and stop parity.
 
 The acceptance criteria of the convergence-observability layer:
 
 * **savings**: on a converged 3TS workload, adaptive stopping reaches
   the same per-communicator LRC verdicts as the full fixed-run batch
   while simulating at least :data:`SAVINGS_FLOOR` times fewer runs;
-* **overhead**: emitting checkpoint telemetry from the batch kernel
-  costs at most :data:`OVERHEAD_CEILING` of the plain no-checkpoint
-  batch path — the checkpoint fold is a handful of prefix sums per
-  boundary, never inner-loop work;
 * **determinism**: the stop point is bit-identical serial vs sharded,
   because stop decisions are functions of pooled counts at global
   checkpoint boundaries only.
@@ -16,10 +12,8 @@ The acceptance criteria of the convergence-observability layer:
 Statistical assertions (savings, verdict agreement) are gated on
 ``bench_scale.full``: the smoke scale shrinks iteration counts, which
 changes per-run sample sizes and therefore where the sequential test
-decides.  The overhead and determinism assertions always run.
+decides.  The determinism assertions always run.
 """
-
-import time
 
 from repro.experiments import (
     baseline_implementation,
@@ -29,21 +23,13 @@ from repro.experiments import (
 )
 from repro.runtime import BatchSimulator, BernoulliFaults
 from repro.runtime.executor import ShardedExecutor
-from repro.telemetry.convergence import (
-    StoppingRule,
-    checkpoint_schedule,
-)
+from repro.telemetry.convergence import StoppingRule
 
 MAX_RUNS = 640
 ITERATIONS = 40
 MIN_RUNS = 8
 SEED = 7
 SAVINGS_FLOOR = 5.0
-OVERHEAD_RUNS = 256
-OVERHEAD_ITERATIONS = 2500
-OVERHEAD_CEILING = 1.1
-#: Noise allowance when the smoke scale shrinks runs to milliseconds.
-SMOKE_SLACK = 2.5
 
 
 def _three_tank_batch(seed=SEED, executor=None):
@@ -99,60 +85,6 @@ def test_bench_adaptive_savings(benchmark, report, bench_scale):
              f"{adaptive.savings_factor:.1f}x"),
             ("verdicts agree", "yes",
              "yes" if adaptive_verdicts == fixed_verdicts else "NO"),
-        ],
-    )
-
-
-def test_bench_checkpoint_overhead(benchmark, report, bench_scale):
-    iterations = bench_scale(OVERHEAD_ITERATIONS)
-    schedule = checkpoint_schedule(OVERHEAD_RUNS, first=32)
-    marks: list = []
-
-    def run(checkpoints=None, on_checkpoint=None):
-        _, batch = _three_tank_batch(seed=99)
-        return batch.run_batch(
-            OVERHEAD_RUNS, iterations,
-            checkpoints=checkpoints, on_checkpoint=on_checkpoint,
-        )
-
-    def best_of(fn, rounds=3):
-        elapsed = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            elapsed.append(time.perf_counter() - start)
-        return min(elapsed)
-
-    checkpointed = benchmark.pedantic(
-        lambda: run(schedule, marks.append), rounds=1, iterations=1
-    )
-    assert marks, "no checkpoint events were emitted"
-    assert [event.run for event in marks] == list(schedule)
-
-    plain_elapsed = best_of(lambda: run())
-    marked_elapsed = best_of(lambda: run(schedule, lambda _: None))
-    overhead = marked_elapsed / plain_elapsed
-
-    # Checkpointing observes; the counts must not change.
-    plain = run()
-    for name, counts in plain.reliable_counts.items():
-        assert (checkpointed.reliable_counts[name] == counts).all()
-
-    ceiling = (
-        OVERHEAD_CEILING if bench_scale.full
-        else OVERHEAD_CEILING * SMOKE_SLACK
-    )
-    assert overhead <= ceiling
-
-    report(
-        "adaptive stopping — checkpoint telemetry overhead",
-        [
-            ("batch runtime (s)", "(baseline)",
-             f"{plain_elapsed:.3f}"),
-            ("checkpointed (s)", f"<= {OVERHEAD_CEILING:.1f}x",
-             f"{marked_elapsed:.3f}"),
-            ("overhead", f"<= {OVERHEAD_CEILING:.1f}x",
-             f"{overhead:.2f}x"),
         ],
     )
 

@@ -12,17 +12,21 @@ counts without materializing per-run value traces.
 
 Seed contract
 -------------
-``run_batch(runs, iterations, seed)`` derives one generator per run
-via ``np.random.SeedSequence(seed).spawn(runs)``.  Run ``k`` of the
-batch is bit-identical to a scalar simulation seeded with
-``np.random.default_rng(np.random.SeedSequence(seed).spawn(runs)[k])``
-— the differential test suite holds the two executors to exactly
-this.
+Run ``k`` of a batch seeded with ``seed`` draws from
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))``
+— child ``k`` of ``np.random.SeedSequence(seed).spawn(runs)``, for
+any ``runs > k``.  A batch run is bit-identical to a scalar
+simulation seeded with that generator; the differential test suite
+holds the two executors to exactly this.
 
-Because spawn keys partition deterministically (child ``k`` of
-``SeedSequence(s)`` is ``SeedSequence(s, spawn_key=(k,))``, whatever
-else was spawned), any *contiguous slice* of a batch can be computed
-in isolation: :meth:`BatchSimulator.run_slice` executes an explicit
+:meth:`BatchSimulator.run_range` is the single place that builds
+those children: it simulates the global runs ``[start, stop)``.
+``run_batch`` is ``run_range(0, runs)``, the adaptive driver runs
+one range per checkpoint chunk, and the service simulates cache
+tails the same way (the determinism lint keeps per-run children out
+of every other module).  Because run ``k`` does not depend on the
+batch size, any *contiguous slice* of a batch can be computed in
+isolation: :meth:`BatchSimulator.run_slice` executes an explicit
 child list, and the pluggable executors of
 :mod:`repro.runtime.executor` exploit that to shard one batch across
 worker processes with bit-identical results
@@ -269,8 +273,6 @@ class BatchSimulator:
         iterations: int,
         seed: "int | None" = None,
         monitor: "MonitorConfig | None" = None,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Callable[..., None] | None" = None,
     ) -> BatchResult:
         """Execute *runs* independent simulations of *iterations* periods.
 
@@ -284,44 +286,50 @@ class BatchSimulator:
         per-access status tensors (no per-run Python loop), or as one
         scalar monitor per run on the fallback path.  The resulting
         alarm/clear events land in ``BatchResult.monitor_events``.
-
-        With *checkpoints* (global run-count boundaries) and/or
-        *on_checkpoint*, the executor emits globally-pooled
-        :class:`~repro.telemetry.convergence.CheckpointEvent` records
-        at the boundaries — observer-only convergence telemetry that
-        never changes the batch result.  ``on_checkpoint`` without an
-        explicit schedule uses the default geometric
-        :func:`~repro.telemetry.convergence.checkpoint_schedule`.
-        Both arguments are forwarded to the executor only when set,
-        so custom executors without checkpoint support keep working
-        until checkpoints are actually requested.
         """
         if runs <= 0:
             raise RuntimeSimulationError(
                 f"runs must be positive, got {runs}"
             )
+        return self.run_range(0, runs, iterations, seed, monitor)
+
+    def run_range(
+        self,
+        start: int,
+        stop: int,
+        iterations: int,
+        seed: "int | None" = None,
+        monitor: "MonitorConfig | None" = None,
+    ) -> BatchResult:
+        """Simulate the global runs ``[start, stop)`` of *seed*'s batch.
+
+        The one seed-derivation point of the batch path: run ``k``
+        gets ``SeedSequence(seed, spawn_key=(k,))``.  The result is
+        bit-identical to runs ``start..stop-1`` of
+        ``run_batch(stop, ...)`` — counts, and monitor events tagged
+        with global run indices — so it merges onto a cached or
+        already-simulated prefix with
+        :func:`~repro.runtime.executor.merge_batch_results`.
+        """
+        if not 0 <= start < stop:
+            raise RuntimeSimulationError(
+                f"run range [{start}, {stop}) is empty or negative"
+            )
         if iterations <= 0:
             raise RuntimeSimulationError(
                 f"iterations must be positive, got {iterations}"
             )
-        children = np.random.SeedSequence(
-            self.seed if seed is None else seed
-        ).spawn(runs)
-        if checkpoints is None and on_checkpoint is None:
-            return self.executor.execute(
-                self, children, iterations, monitor
-            )
-        if checkpoints is None:
-            from repro.telemetry.convergence import checkpoint_schedule
-
-            checkpoints = checkpoint_schedule(runs)
+        seed_value = self.seed if seed is None else seed
+        children = [
+            np.random.SeedSequence(seed_value, spawn_key=(k,))
+            for k in range(start, stop)
+        ]
+        # run_offset is keyword-only on the executor protocol and is
+        # forwarded only mid-sequence, so positional-only executors
+        # still run whole batches.
+        extra = {"run_offset": start} if start else {}
         return self.executor.execute(
-            self,
-            children,
-            iterations,
-            monitor,
-            checkpoints=checkpoints,
-            on_checkpoint=on_checkpoint,
+            self, children, iterations, monitor, **extra
         )
 
     def run_adaptive(
@@ -335,26 +343,26 @@ class BatchSimulator:
     ):
         """Run until a stopping rule fires, within a *max_runs* budget.
 
-        Simulates the batch chunk by chunk along the rule's checkpoint
-        schedule and, at every boundary, evaluates a convergence
-        snapshot of the pooled counts and asks the
-        :class:`~repro.telemetry.convergence.StoppingRule` whether the
-        evidence suffices.  Because chunks are contiguous slices of
-        the one spawned run sequence and decisions are pure functions
-        of pooled counts, the result is **bit-identical** to
-        ``run_batch(stopped_at, iterations)`` of the same seed, and
-        the stop point does not depend on the executor.
+        Drives :func:`~repro.telemetry.convergence.drive_adaptive`
+        with :meth:`run_range` as the chunk runner: the batch grows
+        chunk by chunk along the rule's checkpoint schedule, and at
+        every boundary the
+        :class:`~repro.telemetry.convergence.StoppingRule` decides on
+        a convergence snapshot of the pooled counts.  Because chunks
+        are contiguous ranges of the one run sequence and decisions
+        are pure functions of pooled counts, the result is
+        **bit-identical** to ``run_batch(stopped_at, iterations)`` of
+        the same seed, and the stop point does not depend on the
+        executor.
 
         *on_checkpoint* observes each
         :class:`~repro.telemetry.convergence.ConvergenceSnapshot` as
         it is taken.  Returns an
         :class:`~repro.telemetry.convergence.AdaptiveResult`.
         """
-        from repro.runtime.executor import merge_batch_results
         from repro.telemetry.convergence import (
-            AdaptiveResult,
             StoppingRule,
-            snapshot_from_counts,
+            drive_adaptive,
         )
 
         if rule is None:
@@ -367,55 +375,16 @@ class BatchSimulator:
             raise RuntimeSimulationError(
                 f"max_runs must be positive, got {max_runs}"
             )
-        if iterations <= 0:
-            raise RuntimeSimulationError(
-                f"iterations must be positive, got {iterations}"
-            )
-        seed_value = self.seed if seed is None else seed
-        schedule = rule.schedule(max_runs)
-        lrcs = {
-            name: comm.lrc
-            for name, comm in self.spec.communicators.items()
-        }
-        merged: BatchResult | None = None
-        snapshots = []
-        decision = None
-        previous = 0
-        for boundary in schedule:
-            children = [
-                np.random.SeedSequence(seed_value, spawn_key=(k,))
-                for k in range(previous, boundary)
-            ]
-            chunk = self.executor.execute(
-                self, children, iterations, monitor,
-                run_offset=previous,
-            )
-            merged = (
-                chunk if merged is None
-                else merge_batch_results([merged, chunk])
-            )
-            snapshot = snapshot_from_counts(
-                boundary,
-                merged.pooled_counts(),
-                lrcs,
-                confidence=rule.confidence,
-                indifference=rule.indifference,
-            )
-            snapshots.append(snapshot)
-            if on_checkpoint is not None:
-                on_checkpoint(snapshot)
-            decision = rule.decide(snapshot, max_runs)
-            previous = boundary
-            if decision.stop:
-                break
-        assert merged is not None and decision is not None
-        return AdaptiveResult(
-            result=merged,
-            stopped_at=decision.run,
-            max_runs=max_runs,
-            schedule=schedule,
-            snapshots=tuple(snapshots),
-            decision=decision,
+        return drive_adaptive(
+            rule,
+            max_runs,
+            lambda start, stop: self.run_range(
+                start, stop, iterations, seed, monitor
+            ),
+            on_snapshot=(
+                None if on_checkpoint is None
+                else lambda snapshot, decision: on_checkpoint(snapshot)
+            ),
         )
 
     def run_slice(
@@ -424,8 +393,6 @@ class BatchSimulator:
         iterations: int,
         monitor: "MonitorConfig | None" = None,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Callable[..., None] | None" = None,
     ) -> BatchResult:
         """Execute an explicit list of spawned per-run seeds.
 
@@ -435,15 +402,6 @@ class BatchSimulator:
         *global* indices, so disjoint slices of one batch merge (via
         :func:`~repro.runtime.executor.merge_batch_results`) into
         exactly the unsharded result.
-
-        With *checkpoints* (**global** run-count boundaries) and/or
-        *on_checkpoint*, the slice's
-        :class:`~repro.telemetry.convergence.CheckpointEvent` records
-        — counts cumulative within the slice, per the
-        :func:`~repro.telemetry.convergence.merge_checkpoint_events`
-        contract — are delivered to the callback after the result is
-        computed.  Checkpoint emission is observer-only: it reads the
-        finished count arrays and never touches the simulation draws.
         """
         runs = len(children)
         if runs == 0:
@@ -459,23 +417,12 @@ class BatchSimulator:
             # A declining precompute may have consumed draws; the
             # fallback rebuilds every generator from its spawn key.
             with self.profiler.stage("scalar-fallback"):
-                result = self._run_scalar(
+                return self._run_scalar(
                     children, iterations, monitor, run_offset
                 )
-        else:
-            result = self._run_vectorized(
-                masks, runs, iterations, monitor, run_offset
-            )
-        if on_checkpoint is not None:
-            from repro.telemetry.convergence import (
-                checkpoint_events_for_slice,
-            )
-
-            for event in checkpoint_events_for_slice(
-                result, run_offset, checkpoints or ()
-            ):
-                on_checkpoint(event)
-        return result
+        return self._run_vectorized(
+            masks, runs, iterations, monitor, run_offset
+        )
 
     def _empty_result(self, iterations: int) -> BatchResult:
         """The zero-run result (identity element of a merge)."""

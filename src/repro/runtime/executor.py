@@ -1,9 +1,10 @@
 """Pluggable batch executors: serial reference and sharded fan-out.
 
 PR 7 extracts the execution *strategy* out of
-:class:`~repro.runtime.batch.BatchSimulator`:
-``run_batch(runs, iterations, seed)`` now only spawns the per-run
-seed-sequence children and delegates to a :class:`BatchExecutor`.
+:class:`~repro.runtime.batch.BatchSimulator`: its one seed-derivation
+point, :meth:`~repro.runtime.batch.BatchSimulator.run_range`, builds
+the per-run seed-sequence children and delegates to a
+:class:`BatchExecutor`.
 
 * :class:`SerialExecutor` is the in-process reference: one
   :meth:`~repro.runtime.batch.BatchSimulator.run_slice` call over the
@@ -82,21 +83,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class BatchExecutor(Protocol):
     """Strategy that executes one batch over spawned per-run seeds.
 
-    *children* is the full ``SeedSequence(seed).spawn(runs)`` list;
+    *children* are the spawn-key children of a contiguous run range,
+    built by :meth:`~repro.runtime.batch.BatchSimulator.run_range`;
     the executor owns how (and where) the per-run work happens but
     must return exactly the result of
-    ``simulator.run_slice(children, iterations, monitor)`` — the
-    bit-identity contract every implementation is tested against.
+    ``simulator.run_slice(children, iterations, monitor, run_offset)``
+    — the bit-identity contract every implementation is tested
+    against.
 
-    The keyword-only extras are optional capabilities:
-    ``run_offset`` declares the global run index of ``children[0]``
-    (the adaptive driver executes contiguous chunks of one spawned
-    sequence), and ``checkpoints``/``on_checkpoint`` request pooled
-    :class:`~repro.telemetry.convergence.CheckpointEvent` emission at
-    global run-count boundaries.  Callers forward them only when
-    used, so minimal executors (tests, third-party strategies) that
-    accept the positional form keep working until those features are
-    actually requested.
+    ``run_offset`` is the global run index of ``children[0]`` (nonzero
+    for a cache tail or an adaptive chunk).  It is keyword-only and
+    forwarded only when nonzero, so minimal executors (tests,
+    third-party strategies) that accept the positional form keep
+    working for whole batches.
     """
 
     def execute(
@@ -107,8 +106,6 @@ class BatchExecutor(Protocol):
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
         ...
 
@@ -232,44 +229,10 @@ def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     )
 
 
-def fold_shard_checkpoints(
-    mark_lists: "Sequence[tuple]",
-) -> list:
-    """Fold per-shard checkpoint streams into the global trajectory.
-
-    Each shard's slice-local events pass through a
-    :class:`~repro.telemetry.shardbuffer.ShardEventBuffer` (which
-    stamps the shard index), then
-    :func:`~repro.telemetry.convergence.merge_checkpoint_events`
-    rebases them into the one globally-pooled trajectory a serial
-    execution would have emitted.
-    """
-    if not any(mark_lists):
-        return []
-    from repro.telemetry.convergence import merge_checkpoint_events
-    from repro.telemetry.shardbuffer import ShardEventBuffer
-
-    stamped: list = []
-    for index, marks in enumerate(mark_lists):
-        buffer = ShardEventBuffer(shard=index)
-        buffer.extend(marks)
-        stamped.extend(buffer.events)
-    return merge_checkpoint_events(stamped)
-
-
 class SerialExecutor:
-    """The in-process reference executor (the pre-refactor loop).
-
-    After an :meth:`execute` that requested checkpoints, the folded
-    global trajectory is left on :attr:`checkpoint_events` — the same
-    attribute the sharded executor exposes, so callers read one
-    surface regardless of strategy.
-    """
+    """The in-process reference executor (the pre-refactor loop)."""
 
     name = "serial"
-
-    def __init__(self) -> None:
-        self.checkpoint_events: list = []
 
     def execute(
         self,
@@ -279,28 +242,10 @@ class SerialExecutor:
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
-        self.checkpoint_events = []
-        if checkpoints is None and on_checkpoint is None:
-            return simulator.run_slice(
-                children, iterations, monitor, run_offset=run_offset
-            )
-        from repro.telemetry.convergence import merge_checkpoint_events
-
-        raw: list = []
-        result = simulator.run_slice(
-            children, iterations, monitor,
-            run_offset=run_offset,
-            checkpoints=checkpoints,
-            on_checkpoint=raw.append,
+        return simulator.run_slice(
+            children, iterations, monitor, run_offset=run_offset
         )
-        self.checkpoint_events = merge_checkpoint_events(raw)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
-        return result
 
 
 @dataclass
@@ -321,18 +266,9 @@ class _ShardPayload:
     #: ride NEXT TO the batch data, never inside it, so merge — and
     #: therefore the bit-identity contract — is unaffected by tracing.
     spans: tuple = ()
-    #: Slice-local convergence checkpoint events
-    #: (:class:`~repro.telemetry.convergence.CheckpointEvent`).  Like
-    #: spans they are observer-only cargo outside the batch result;
-    #: the parent folds them into the global trajectory.
-    checkpoints: tuple = ()
 
 
-def _payload_of(
-    result: BatchResult,
-    spans: tuple = (),
-    checkpoints: tuple = (),
-) -> _ShardPayload:
+def _payload_of(result: BatchResult, spans: tuple = ()) -> _ShardPayload:
     return _ShardPayload(
         runs=result.runs,
         reliable_counts=result.reliable_counts,
@@ -340,7 +276,6 @@ def _payload_of(
         executor=result.executor,
         monitor_events=result.monitor_events,
         spans=spans,
-        checkpoints=checkpoints,
     )
 
 
@@ -470,14 +405,14 @@ def _unit_noise(shard: int, attempt: int) -> float:
 
 def _supervised_worker(
     simulator, children, iterations, monitor, offset, conn, action,
-    trace=None, checkpoints=None,
+    trace=None,
 ):
     """Entry point of one forked shard worker.
 
     The optional injected chaos *action* is applied before (or
-    instead of) the real work.  A failed attempt ships no span and no checkpoint events: only the
-    attempt that succeeds records them, so a retried shard still
-    yields exactly one span and one slice-local checkpoint stream.
+    instead of) the real work.  A failed attempt ships no span: only
+    the attempt that succeeds records one, so a retried shard still
+    yields exactly one span.
     """
     from repro.telemetry.distributed import shard_span
 
@@ -497,25 +432,13 @@ def _supervised_worker(
                 raise RuntimeSimulationError(
                     "chaos: injected worker error"
                 )
-        marks: list = []
         with shard_span(
             trace, offset, offset + len(children)
         ) as recorder:
             result = simulator.run_slice(
                 children, iterations, monitor, run_offset=offset,
-                checkpoints=checkpoints,
-                on_checkpoint=(
-                    marks.append if checkpoints is not None else None
-                ),
             )
-        conn.send(
-            (
-                "ok",
-                _payload_of(
-                    result, tuple(recorder.spans), tuple(marks)
-                ),
-            )
-        )
+        conn.send(("ok", _payload_of(result, tuple(recorder.spans))))
     except BaseException as error:  # ship the failure to the parent
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -552,7 +475,6 @@ class _ShardState:
         self.deadline_at: "float | None" = None
         self.result: "BatchResult | None" = None
         self.spans: tuple = ()
-        self.checkpoints: tuple = ()
 
     def kill(self) -> None:
         """Best-effort terminate of a live worker."""
@@ -642,12 +564,6 @@ class ShardedExecutor:
         self.retry_events: list[ShardRetryEvent] = []
         #: Merged tracing spans of the most recent :meth:`execute`.
         self.shard_spans: list[dict] = []
-        #: Globally-pooled convergence trajectory of the most recent
-        #: :meth:`execute` call that requested checkpoints.
-        self.checkpoint_events: list = []
-        #: The checkpoint schedule of the in-flight :meth:`execute`
-        #: (read by `_launch`, including relaunches after a retry).
-        self._chunk_checkpoints: "Sequence[int] | None" = None
 
     # -- the BatchExecutor protocol -------------------------------------
 
@@ -659,16 +575,9 @@ class ShardedExecutor:
         monitor: "MonitorConfig | None" = None,
         *,
         run_offset: int = 0,
-        checkpoints: "Sequence[int] | None" = None,
-        on_checkpoint: "Any | None" = None,
     ) -> BatchResult:
         self.retry_events = []
         self.shard_spans = []
-        self.checkpoint_events = []
-        self._chunk_checkpoints = checkpoints
-        want_marks = (
-            checkpoints is not None or on_checkpoint is not None
-        )
         slices = shard_slices(len(children), self.jobs)
         context = _fork_context() if self.processes else None
         if not slices:
@@ -676,28 +585,21 @@ class ShardedExecutor:
                 children, iterations, monitor, run_offset=run_offset
             )
         span_lists: list[tuple] = []
-        mark_lists: list[tuple] = []
         if len(slices) <= 1 or context is None:
             shards = []
             for index, (start, stop) in enumerate(slices):
-                result, spans, marks = self._execute_inline(
+                result, spans = self._execute_inline(
                     simulator, children, iterations, monitor,
                     index, start, stop, run_offset,
-                    collect_marks=want_marks,
                 )
                 shards.append(result)
                 span_lists.append(spans)
-                mark_lists.append(marks)
         else:
-            shards, span_lists, mark_lists = self._supervise(
+            shards, span_lists = self._supervise(
                 context, simulator, children, iterations, monitor,
                 slices, run_offset,
             )
         merged = merge_batch_results(shards)
-        self.checkpoint_events = fold_shard_checkpoints(mark_lists)
-        if on_checkpoint is not None:
-            for event in self.checkpoint_events:
-                on_checkpoint(event)
         if self.telemetry is not None or self.trace_context is not None:
             from repro.telemetry.shardbuffer import (
                 ShardEventBuffer,
@@ -717,8 +619,6 @@ class ShardedExecutor:
                 buffers.append(buffer)
             if self.telemetry is not None:
                 replay_sharded(buffers, self.telemetry)
-                if self.checkpoint_events:
-                    self.telemetry.extend(self.checkpoint_events)
             self.shard_spans = collect_spans(buffers)
         return merged
 
@@ -755,8 +655,8 @@ class ShardedExecutor:
 
     def _execute_inline(
         self, simulator, children, iterations, monitor,
-        index, start, stop, run_offset=0, collect_marks=False,
-    ) -> tuple[BatchResult, tuple, tuple]:
+        index, start, stop, run_offset=0,
+    ) -> tuple[BatchResult, tuple]:
         from repro.telemetry.distributed import shard_span
 
         state = _ShardState(index, start, stop, offset=run_offset)
@@ -776,7 +676,6 @@ class ShardedExecutor:
                     )
                 if action is not None and action.kind == "slow":
                     time.sleep(action.delay_s)
-                marks: list = []
                 with shard_span(
                     self.trace_context,
                     run_offset + start, run_offset + stop,
@@ -785,12 +684,8 @@ class ShardedExecutor:
                     result = simulator.run_slice(
                         children[start:stop], iterations, monitor,
                         run_offset=run_offset + start,
-                        checkpoints=self._chunk_checkpoints,
-                        on_checkpoint=(
-                            marks.append if collect_marks else None
-                        ),
                     )
-                return result, tuple(recorder.spans), tuple(marks)
+                return result, tuple(recorder.spans)
             except RuntimeSimulationError as error:
                 if state.attempt >= self.policy.retries:
                     self._give_up(state, str(error))
@@ -817,7 +712,6 @@ class ShardedExecutor:
                 simulator, children[state.start:state.stop],
                 iterations, monitor, state.offset + state.start,
                 child_conn, action, self.trace_context,
-                self._chunk_checkpoints,
             ),
         )
         process.start()
@@ -832,7 +726,7 @@ class ShardedExecutor:
     def _supervise(
         self, context, simulator, children, iterations, monitor,
         slices, run_offset=0,
-    ) -> tuple[list[BatchResult], list[tuple], list[tuple]]:
+    ) -> tuple[list[BatchResult], list[tuple]]:
         from multiprocessing.connection import wait as conn_wait
 
         states = [
@@ -907,7 +801,6 @@ class ShardedExecutor:
                             {**span, "attempt": state.attempt}
                             for span in payload.spans
                         )
-                        state.checkpoints = tuple(payload.checkpoints)
                         conn.close()
                         state.conn = None
                         state.process.join()
@@ -935,7 +828,6 @@ class ShardedExecutor:
         return (
             [state.result for state in states],
             [state.spans for state in states],
-            [state.checkpoints for state in states],
         )
 
     def _retire(

@@ -22,11 +22,14 @@ Job document fields (``kind`` selects the pipeline):
 
 Cache semantics (the PR 7 contract): an identical repeated simulate
 job answers from cache without simulating; a ``runs`` upgrade
-simulates only the tail ``cached.runs..runs-1`` — seeded by
-``SeedSequence(seed, spawn_key=(k,))``, which equals
-``SeedSequence(seed).spawn(runs)[k]`` — and merges, so the reply is
+simulates only the tail ``cached.runs..runs-1`` — through
+:meth:`~repro.runtime.batch.BatchSimulator.run_range`, the batch
+path's one seed-derivation point — and merges, so the reply is
 bit-identical to a fresh full batch.  Both facts are asserted through
-the :class:`~repro.service.cache.ServiceMetrics` counters.
+the :class:`~repro.service.cache.ServiceMetrics` counters.  Adaptive
+jobs run the same
+:func:`~repro.telemetry.convergence.drive_adaptive` loop as the CLI,
+starting from the cached prefix.
 
 Robustness (PR 8): every submitted job reaches a **terminal state** —
 ``done``, ``failed``, ``timed_out``, or ``cancelled``.  A per-job
@@ -66,9 +69,7 @@ import time
 import traceback
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
-from repro.errors import ReproError
+from repro.errors import AnalysisError, ReproError
 from repro.service.cache import McKey, ResultCache, ServiceMetrics
 from repro.service.slo import SloTracker
 from repro.service.slog import ServiceLog
@@ -522,7 +523,7 @@ class ReliabilityService:
             jobs = doc.setdefault("jobs", 1)
             if not isinstance(jobs, int) or jobs < 1:
                 raise ServiceError(f"jobs must be >= 1, got {jobs!r}")
-            self._validate_adaptive(doc)
+            self._adaptive_rule(doc)
         elif doc.get("adaptive"):
             raise ServiceError(
                 "adaptive stopping applies to simulate jobs only"
@@ -574,61 +575,48 @@ class ReliabilityService:
         return job
 
     @staticmethod
-    def _validate_adaptive(doc: dict) -> None:
-        """Validate the adaptive-stopping fields of a simulate job.
+    def _adaptive_rule(doc: Mapping[str, Any]):
+        """The :class:`~repro.telemetry.convergence.StoppingRule` of a job.
 
         ``adaptive: true`` turns ``runs`` into a budget (``max_runs``)
-        the :class:`~repro.telemetry.convergence.StoppingRule` may cut
-        short; the optional knobs mirror the rule's parameters.
+        the rule may cut short; the optional knobs mirror the rule's
+        parameters.  Returns ``None`` for a fixed-run job.  Field types
+        are checked here (bools are not numbers); value ranges are the
+        rule's own checks, surfaced as :class:`ServiceError`.
         """
+        from repro.telemetry.convergence import StoppingRule
+
         adaptive = doc.get("adaptive", False)
         if not isinstance(adaptive, bool):
             raise ServiceError(
                 f"adaptive must be a bool, got {adaptive!r}"
             )
         if not adaptive:
-            return
-        target = doc.get("target_rel_half_width")
-        if target is not None and (
-            isinstance(target, bool)
-            or not isinstance(target, (int, float))
-            or target <= 0
-        ):
-            raise ServiceError(
-                f"target_rel_half_width must be a positive number, "
-                f"got {target!r}"
-            )
-        min_runs = doc.get("min_runs")
-        if min_runs is not None and (
-            not isinstance(min_runs, int) or min_runs < 1
-        ):
-            raise ServiceError(
-                f"min_runs must be >= 1, got {min_runs!r}"
-            )
-        confidence = doc.get("stop_confidence")
-        if confidence is not None and (
-            isinstance(confidence, bool)
-            or not isinstance(confidence, (int, float))
-            or not 0.0 < confidence < 1.0
-        ):
-            raise ServiceError(
-                f"stop_confidence must lie in (0, 1), "
-                f"got {confidence!r}"
-            )
-        indifference = doc.get("indifference")
-        if indifference is not None and (
-            isinstance(indifference, bool)
-            or not isinstance(indifference, (int, float))
-            or indifference <= 0
-        ):
-            raise ServiceError(
-                f"indifference must be positive, got {indifference!r}"
-            )
+            return None
         sequential = doc.get("sequential", True)
         if not isinstance(sequential, bool):
             raise ServiceError(
                 f"sequential must be a bool, got {sequential!r}"
             )
+        knobs: dict[str, Any] = {"sequential": sequential}
+        number = (int, float)
+        for key, param, allowed, noun in (
+            ("target_rel_half_width", "target_rel_half_width", number,
+             "a number"),
+            ("min_runs", "min_runs", int, "an int"),
+            ("stop_confidence", "confidence", number, "a number"),
+            ("indifference", "indifference", number, "a number"),
+        ):
+            value = doc.get(key)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ServiceError(f"{key} must be {noun}, got {value!r}")
+            knobs[param] = value if allowed is int else float(value)
+        try:
+            return StoppingRule(**knobs)
+        except AnalysisError as error:
+            raise ServiceError(f"invalid stopping rule: {error}") from None
 
     def _on_job_event(self, job: Job, event: dict) -> None:
         """Mirror one job state transition into the structured log."""
@@ -969,36 +957,6 @@ class ReliabilityService:
         # collect them onto the job for the merged distributed trace.
         job.spans.extend(executor.shard_spans)
 
-    def _run_chunk(
-        self, job: Job, sim, executor: Any, seed: int, start: int,
-        stop: int, iterations: int, monitor,
-    ):
-        """Simulate runs ``start..stop-1`` of the job's spawned batch.
-
-        Misses, tail upgrades and adaptive chunks all pass through
-        here, so every one of them runs on the job's executor.
-        """
-        # spawn(n)[k] == SeedSequence(seed, spawn_key=(k,)), so a tail
-        # chunk builds only its own children.
-        children = [
-            np.random.SeedSequence(seed, spawn_key=(k,))
-            for k in range(start, stop)
-        ]
-        job.emit("simulating", runs=len(children), offset=start)
-        # run_offset is an optional executor capability: forward it
-        # only when a chunk starts mid-sequence.
-        extra = {"run_offset": start} if start else {}
-        stage_t0 = time.perf_counter()
-        chunk = sim.executor.execute(
-            sim, children, iterations, monitor, **extra
-        )
-        self.metrics.observe_stage(
-            "simulate", time.perf_counter() - stage_t0
-        )
-        if executor is not None:
-            self._note_shard_retries(job, executor)
-        return chunk
-
     def _simulate(self, job: Job) -> dict:
         from repro.analysis import Verifier
         from repro.runtime.batch import BatchSimulator
@@ -1007,6 +965,7 @@ class ReliabilityService:
             slice_batch_result,
         )
         from repro.runtime.faults import BernoulliFaults
+        from repro.telemetry.convergence import drive_adaptive
 
         doc = job.document
         spec, arch, impl = self._design(doc, need_impl=True)
@@ -1039,48 +998,79 @@ class ReliabilityService:
             executor.trace_context = TraceContext(
                 job.trace_id, job.id
             )
+        sim = None
 
-        def simulator() -> BatchSimulator:
-            return BatchSimulator(
-                spec, arch, impl,
-                faults=BernoulliFaults(arch) if bernoulli else None,
-                seed=seed,
-                executor=executor,
+        def run_chunk(start: int, stop: int):
+            """Simulate runs ``start..stop-1`` on the job's executor.
+
+            Misses, tail upgrades and adaptive chunks all pass through
+            here; the plan is compiled on the first chunk only, so a
+            cache hit never compiles it.
+            """
+            nonlocal sim
+            if sim is None:
+                sim = BatchSimulator(
+                    spec, arch, impl,
+                    faults=BernoulliFaults(arch) if bernoulli else None,
+                    seed=seed,
+                    executor=executor,
+                )
+            job.emit("simulating", runs=stop - start, offset=start)
+            stage_t0 = time.perf_counter()
+            chunk = sim.run_range(start, stop, iterations, monitor=monitor)
+            self.metrics.observe_stage(
+                "simulate", time.perf_counter() - stage_t0
             )
+            if executor is not None:
+                self._note_shard_retries(job, executor)
+            return chunk
 
-        if doc.get("adaptive"):
-            return self._simulate_adaptive(
-                job, doc, spec, arch, impl, key, simulator, executor,
-                runs, iterations, seed, monitor, slack,
-            )
-
+        rule = self._adaptive_rule(doc)
         stage_t0 = time.perf_counter()
-        kind, cached = self.cache.plan(key, runs, spec=spec)
+        plan_kind, cached = self.cache.plan(key, runs, spec=spec)
         self.metrics.observe_stage(
             "cache-lookup", time.perf_counter() - stage_t0
         )
-        simulated = 0
-        if kind == "hit":
-            self.metrics.add("mc_cache_hits")
-            job.emit("cache", cache="hit", cached_runs=cached.runs)
+        have = 0 if cached is None else cached.runs
+        adaptive = None
+        if rule is not None:
+            # ``runs`` is the budget; cached runs replay through the
+            # identical snapshot sequence, so a warm cache stops at
+            # exactly the run a cold execution would have chosen.
+            job.emit("cache", cache=plan_kind, cached_runs=have)
+            adaptive = drive_adaptive(
+                rule,
+                runs,
+                run_chunk,
+                prefix=cached,
+                on_snapshot=lambda snapshot, decision: self._on_checkpoint(
+                    job, snapshot, decision
+                ),
+            )
+            result = adaptive.result
+            if adaptive.runs_saved:
+                self.metrics.add("adaptive_stops")
+                self.metrics.add(
+                    "adaptive_runs_saved", adaptive.runs_saved
+                )
+            job.emit(
+                "stopping",
+                run=adaptive.stopped_at,
+                reason=adaptive.decision.reason,
+                runs_saved=adaptive.runs_saved,
+            )
+        elif plan_kind == "hit":
+            job.emit("cache", cache="hit", cached_runs=have)
             result = slice_batch_result(cached, runs)
         else:
-            have = 0 if cached is None else cached.runs
-            simulated = runs - have
             if cached is None:
-                self.metrics.add("mc_cache_misses")
                 job.emit("cache", cache="miss")
             else:
-                self.metrics.add("mc_cache_partial")
                 job.emit(
                     "cache", cache="partial",
-                    cached_runs=have, delta=simulated,
+                    cached_runs=have, delta=runs - have,
                 )
-            self.metrics.add("runs_simulated_total", simulated)
-            result = self._run_chunk(
-                job, simulator(), executor, seed, have, runs,
-                iterations, monitor,
-            )
+            result = run_chunk(have, runs)
             if cached is not None:
                 job.emit(
                     "merging", cached_runs=have, tail_runs=result.runs,
@@ -1090,208 +1080,83 @@ class ReliabilityService:
                 self.metrics.observe_stage(
                     "merge", time.perf_counter() - stage_t0
                 )
-            self.cache.store(key, result)
-        stage_t0 = time.perf_counter()
-        entry = self._persist(job, spec, arch, impl, result, seed, runs)
-        self.metrics.observe_stage(
-            "persist", time.perf_counter() - stage_t0
+        # Whatever was simulated extends the cached prefix: any later
+        # request with runs <= result.runs is a prefix hit.
+        simulated = max(0, result.runs - have)
+        if not simulated:
+            kind = "hit"
+        elif cached is None:
+            kind = "miss"
+        else:
+            kind = "partial"
+        self.metrics.add(
+            {
+                "hit": "mc_cache_hits",
+                "miss": "mc_cache_misses",
+                "partial": "mc_cache_partial",
+            }[kind]
         )
-        averages = result.limit_averages()
-        rates = {
-            name: float(averages[name].mean())
-            for name in sorted(averages)
-        }
-        return {
-            "kind": "simulate",
-            "spec_hash": key.spec_hash,
-            "arch_hash": key.arch_hash,
-            "impl_hash": key.impl_hash,
-            "seed": seed,
-            "runs": runs,
-            "iterations": iterations,
-            "executor": result.executor,
-            "cache": kind,
-            "simulated_runs": simulated,
-            "rates": rates,
-            "lrcs": {
-                name: comm.lrc
-                for name, comm in sorted(spec.communicators.items())
-            },
-            "satisfied": bool(result.satisfies_lrcs(slack=slack)),
-            "monitor_events": len(result.monitor_events),
-            "ledger_entry": entry,
-        }
-
-    def _simulate_adaptive(
-        self, job: Job, doc, spec, arch, impl, key, simulator,
-        executor, max_runs: int, iterations: int, seed: int,
-        monitor, slack: float,
-    ) -> dict:
-        """The adaptive-stopping simulate pipeline.
-
-        ``runs`` is the budget; the batch grows chunk by chunk along
-        the stopping rule's checkpoint schedule, a convergence
-        snapshot is evaluated at every boundary (and surfaced on the
-        job event stream, the job document, and the metrics gauges),
-        and the rule decides — from pooled counts only — whether to
-        stop.  Cached runs replay through the identical snapshot
-        sequence via ``prefix_pooled_counts``, so a cache hit stops at
-        exactly the run count a cold execution would have chosen, and
-        the stored batch makes any later fixed-run request with
-        ``runs <= stopped_at`` a prefix hit.
-        """
-        from repro.runtime.executor import (
-            merge_batch_results,
-            slice_batch_result,
-        )
-        from repro.telemetry.convergence import (
-            AdaptiveResult,
-            StoppingRule,
-            snapshot_from_counts,
-        )
-
-        rule = StoppingRule(
-            target_rel_half_width=doc.get("target_rel_half_width"),
-            sequential=bool(doc.get("sequential", True)),
-            confidence=float(doc.get("stop_confidence", 0.99)),
-            indifference=float(doc.get("indifference", 0.002)),
-            min_runs=int(doc.get("min_runs", 64)),
-        )
-        schedule = rule.schedule(max_runs)
-        lrcs = {
-            name: comm.lrc
-            for name, comm in spec.communicators.items()
-        }
-        stage_t0 = time.perf_counter()
-        plan_kind, cached = self.cache.plan(key, max_runs, spec=spec)
-        self.metrics.observe_stage(
-            "cache-lookup", time.perf_counter() - stage_t0
-        )
-        job.emit(
-            "cache", cache=plan_kind,
-            cached_runs=0 if cached is None else cached.runs,
-        )
-        sim = None
-        merged = cached
-        simulated = 0
-        snapshots = []
-        decision = None
-        for boundary in schedule:
-            have = 0 if merged is None else merged.runs
-            if boundary > have:
-                if sim is None:
-                    sim = simulator()
-                chunk = self._run_chunk(
-                    job, sim, executor, seed, have, boundary,
-                    iterations, monitor,
-                )
-                simulated += chunk.runs
-                merged = (
-                    chunk if merged is None
-                    else merge_batch_results([merged, chunk])
-                )
-            snapshot = snapshot_from_counts(
-                boundary,
-                merged.prefix_pooled_counts(boundary),
-                lrcs,
-                confidence=rule.confidence,
-                indifference=rule.indifference,
-            )
-            snapshots.append(snapshot)
-            job.convergence = snapshot.to_dict()
-            decision = rule.decide(snapshot, max_runs)
-            job.emit(
-                "checkpoint",
-                run=boundary,
-                decided=snapshot.decided(),
-                max_rel_half_width=snapshot.max_rel_half_width(),
-                stop=decision.stop,
-            )
-            self._record_convergence_gauges(snapshot)
-            if decision.stop:
-                break
-        assert merged is not None and decision is not None
-        stopped = decision.run
-        adaptive = AdaptiveResult(
-            result=merged,
-            stopped_at=stopped,
-            max_runs=max_runs,
-            schedule=schedule,
-            snapshots=tuple(snapshots),
-            decision=decision,
-        )
-        if stopped < max_runs:
-            self.metrics.add("adaptive_stops")
-            self.metrics.add(
-                "adaptive_runs_saved", max_runs - stopped
-            )
-        job.emit(
-            "stopping",
-            run=stopped,
-            reason=decision.reason,
-            runs_saved=adaptive.runs_saved,
-        )
-        # The cache keeps the longest computed batch: any later
-        # fixed-run request with runs <= merged.runs is a prefix hit.
         if simulated:
             self.metrics.add("runs_simulated_total", simulated)
-            self.cache.store(key, merged)
-        if simulated == 0:
-            kind = "hit"
-            self.metrics.add("mc_cache_hits")
-        elif cached is not None:
-            kind = "partial"
-            self.metrics.add("mc_cache_partial")
-        else:
-            kind = "miss"
-            self.metrics.add("mc_cache_misses")
-        result = (
-            slice_batch_result(merged, stopped)
-            if merged.runs > stopped else merged
-        )
+            self.cache.store(key, result)
         stage_t0 = time.perf_counter()
         entry = self._persist(
-            job, spec, arch, impl, result, seed, stopped,
-            metrics={"adaptive": adaptive.to_dict()},
+            job, spec, arch, impl, result, seed, result.runs,
+            metrics=(
+                None if adaptive is None
+                else {"adaptive": adaptive.to_dict()}
+            ),
         )
         self.metrics.observe_stage(
             "persist", time.perf_counter() - stage_t0
         )
         averages = result.limit_averages()
-        rates = {
-            name: float(averages[name].mean())
-            for name in sorted(averages)
-        }
-        return {
+        reply = {
             "kind": "simulate",
             "spec_hash": key.spec_hash,
             "arch_hash": key.arch_hash,
             "impl_hash": key.impl_hash,
             "seed": seed,
-            "runs": stopped,
+            "runs": result.runs,
             "iterations": iterations,
             "executor": result.executor,
             "cache": kind,
             "simulated_runs": simulated,
-            "adaptive": adaptive.to_dict(),
-            "rates": rates,
-            "lrcs": {
+        }
+        if adaptive is not None:
+            reply["adaptive"] = adaptive.to_dict()
+        reply.update(
+            rates={
+                name: float(averages[name].mean())
+                for name in sorted(averages)
+            },
+            lrcs={
                 name: comm.lrc
                 for name, comm in sorted(spec.communicators.items())
             },
-            "satisfied": bool(result.satisfies_lrcs(slack=slack)),
-            "monitor_events": len(result.monitor_events),
-            "ledger_entry": entry,
-        }
+            satisfied=bool(result.satisfies_lrcs(slack=slack)),
+            monitor_events=len(result.monitor_events),
+            ledger_entry=entry,
+        )
+        return reply
 
-    def _record_convergence_gauges(self, snapshot) -> None:
-        """Mirror one snapshot into the ``/metrics`` gauges.
+    def _on_checkpoint(self, job: Job, snapshot, decision) -> None:
+        """Surface one adaptive snapshot on the job and in ``/metrics``.
 
-        Labelled by communicator only (not by job) to keep label
-        cardinality bounded; concurrent adaptive jobs overwrite each
-        other last-writer-wins, which is the usual Prometheus gauge
-        semantics for "most recent observation".
+        The snapshot lands on the job document and the event stream;
+        the gauges are labelled by communicator only (not by job) to
+        keep label cardinality bounded, so concurrent adaptive jobs
+        overwrite each other last-writer-wins — the usual Prometheus
+        gauge semantics for "most recent observation".
         """
+        job.convergence = snapshot.to_dict()
+        job.emit(
+            "checkpoint",
+            run=snapshot.run,
+            decided=snapshot.decided(),
+            max_rel_half_width=snapshot.max_rel_half_width(),
+            stop=decision.stop,
+        )
         for diag in snapshot.diagnostics:
             labels = {"communicator": diag.communicator}
             self.metrics.set_gauge(

@@ -39,16 +39,13 @@ simulation draws (the PR 2 seed contract is regression-tested in
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.convergence import (
     AdaptiveResult,
-    CheckpointEvent,
     CommunicatorDiagnostics,
     ConvergenceSnapshot,
     StopDecision,
     StoppingRule,
-    checkpoint_events_for_slice,
     checkpoint_schedule,
-    merge_checkpoint_events,
+    drive_adaptive,
     snapshot_from_counts,
-    snapshot_from_event,
 )
 from repro.telemetry.distributed import (
     TRACE_ENV,
@@ -129,7 +126,6 @@ __all__ = [
     "AdaptiveResult",
     "BlameEntry",
     "CausalChain",
-    "CheckpointEvent",
     "CommunicatorDiagnostics",
     "ConvergenceSnapshot",
     "Counter",
@@ -169,7 +165,6 @@ __all__ = [
     "blame_scores",
     "build_job_trace",
     "check_regression",
-    "checkpoint_events_for_slice",
     "checkpoint_schedule",
     "client_span_record",
     "collect_spans",
@@ -177,9 +172,9 @@ __all__ = [
     "counterfactual",
     "derive_run_id",
     "diff_records",
+    "drive_adaptive",
     "load_forensics_file",
     "load_trace_file",
-    "merge_checkpoint_events",
     "merge_client_events",
     "mint_trace_id",
     "postmortem_to_dict",
@@ -192,7 +187,6 @@ __all__ = [
     "shard_span",
     "sinks_for_hook",
     "snapshot_from_counts",
-    "snapshot_from_event",
     "summarize_trace",
     "tracing_enabled",
 ]

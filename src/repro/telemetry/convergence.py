@@ -11,13 +11,6 @@ stop itself — without touching the seed contract:
   default).  Because the boundaries depend only on the budget, every
   statistic evaluated at them is a pure function of pooled counts;
   no clock, no RNG, no executor-dependent state.
-* **Checkpoint events** — :func:`checkpoint_events_for_slice` turns
-  one executed slice into :class:`CheckpointEvent` records (counts
-  cumulative *within* the slice), and
-  :func:`merge_checkpoint_events` folds the per-slice streams of a
-  sharded batch into the single global trajectory a serial execution
-  would have produced — the convergence half of the executor
-  bit-identity contract.
 * **Diagnostics** — :func:`snapshot_from_counts` evaluates, per
   communicator, the running reliable-write rate, Clopper–Pearson
   half-width, relative half-width, LRC margin, and a Wald SPRT
@@ -29,18 +22,23 @@ stop itself — without touching the seed contract:
   deterministic functions of pooled counts, so the stop point is
   identical serial vs sharded, and the truncated result is
   bit-identical to a fixed-run batch of the same length.
+* **The adaptive loop** — :func:`drive_adaptive` is the one loop that
+  walks the schedule, simulates each missing chunk through a
+  caller-supplied runner, snapshots the pooled counts of the prefix
+  up to the boundary, and lets the rule decide.
+  :meth:`~repro.runtime.batch.BatchSimulator.run_adaptive` (the CLI)
+  and the service's adaptive jobs (which pass their cached prefix)
+  both run it.
 
 The module is import-light: :mod:`scipy` is reached lazily through
-:mod:`repro.reliability.stats` only when a snapshot is computed, so
-attaching checkpoint telemetry costs nothing until a boundary fires.
+:mod:`repro.reliability.stats` only when a snapshot is computed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import AnalysisError
 
@@ -50,46 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
-# Checkpoint events
-
-
-@dataclass(frozen=True)
-class CheckpointEvent:
-    """Pooled reliable-access counts at one run-count boundary.
-
-    ``counts`` holds ``(communicator, successes, samples)`` triples
-    cumulative over runs ``[run_start, run)`` — i.e. *within the
-    emitting slice*.  :func:`merge_checkpoint_events` rebases them to
-    global totals.  ``scheduled`` distinguishes boundaries of the
-    checkpoint schedule from the slice-end events every slice emits
-    so the merge can carry totals across shard boundaries.
-    """
-
-    run: int
-    counts: tuple[tuple[str, int, int], ...]
-    run_start: int = 0
-    scheduled: bool = True
-    shard: "int | None" = None
-    kind: str = field(default="checkpoint", repr=False)
-
-    def to_dict(self) -> dict:
-        document = {
-            "kind": self.kind,
-            "run": self.run,
-            "run_start": self.run_start,
-            "scheduled": self.scheduled,
-            "counts": [
-                {
-                    "communicator": name,
-                    "successes": successes,
-                    "samples": samples,
-                }
-                for name, successes, samples in self.counts
-            ],
-        }
-        if self.shard is not None:
-            document["shard"] = self.shard
-        return document
+# The checkpoint schedule
 
 
 def checkpoint_schedule(
@@ -118,112 +77,6 @@ def checkpoint_schedule(
         boundary = max(boundary + 1, math.ceil(boundary * growth))
     boundaries.append(max_runs)
     return tuple(boundaries)
-
-
-def checkpoint_events_for_slice(
-    result: "BatchResult",
-    run_offset: int,
-    checkpoints: Sequence[int],
-) -> list[CheckpointEvent]:
-    """Checkpoint events of one executed slice.
-
-    *result* covers global runs ``[run_offset, run_offset +
-    result.runs)``; an event is emitted at every schedule boundary
-    inside that range plus, unconditionally, at the slice end (with
-    ``scheduled=False`` when the end is not itself a boundary) so
-    :func:`merge_checkpoint_events` can accumulate totals across
-    slices.  Counts are cumulative within the slice.
-    """
-    if result.runs == 0:
-        return []
-    end = run_offset + result.runs
-    scheduled = {int(n) for n in checkpoints}
-    wanted = sorted(
-        n for n in scheduled if run_offset < n <= end
-    )
-    if not wanted or wanted[-1] != end:
-        wanted.append(end)
-    names = sorted(result.reliable_counts)
-    events = []
-    for boundary in wanted:
-        local = boundary - run_offset
-        counts = tuple(
-            (
-                name,
-                int(result.reliable_counts[name][:local].sum()),
-                result.samples_per_run[name] * local,
-            )
-            for name in names
-        )
-        events.append(
-            CheckpointEvent(
-                run=boundary,
-                counts=counts,
-                run_start=run_offset,
-                scheduled=boundary in scheduled,
-            )
-        )
-    return events
-
-
-def merge_checkpoint_events(
-    events: Iterable[CheckpointEvent],
-) -> list[CheckpointEvent]:
-    """Fold per-slice checkpoint streams into the global trajectory.
-
-    Groups events by their emitting slice (``run_start``), walks the
-    slices in run order carrying each slice's final totals into the
-    next, and emits globally-pooled events — exactly the stream one
-    serial slice over the whole batch would have produced.  Slice-end
-    events that are not schedule boundaries are consumed by the fold
-    (they only exist to carry totals), except the final global
-    boundary, which is always kept.  Raises when the slices do not
-    tile a contiguous run range.
-    """
-    batch = list(events)
-    if not batch:
-        return []
-    slices: dict[int, list[CheckpointEvent]] = {}
-    for event in batch:
-        slices.setdefault(event.run_start, []).append(event)
-    origin = min(slices)
-    expected = origin
-    base: dict[str, tuple[int, int]] = {}
-    pooled: list[CheckpointEvent] = []
-    for start in sorted(slices):
-        if start != expected:
-            raise AnalysisError(
-                f"checkpoint slices are not contiguous: expected a "
-                f"slice starting at run {expected}, got {start}"
-            )
-        ordered = sorted(slices[start], key=lambda e: e.run)
-        for event in ordered:
-            counts = tuple(
-                (
-                    name,
-                    base.get(name, (0, 0))[0] + successes,
-                    base.get(name, (0, 0))[1] + samples,
-                )
-                for name, successes, samples in event.counts
-            )
-            pooled.append(
-                dataclasses.replace(
-                    event,
-                    counts=counts,
-                    run_start=origin,
-                    shard=None,
-                )
-            )
-        final = pooled[-1]
-        base = {
-            name: (successes, samples)
-            for name, successes, samples in final.counts
-        }
-        expected = ordered[-1].run
-    kept = [event for event in pooled if event.scheduled]
-    if not pooled[-1].scheduled:
-        kept.append(pooled[-1])
-    return kept
 
 
 # ----------------------------------------------------------------------
@@ -401,22 +254,6 @@ def snapshot_from_counts(
     )
 
 
-def snapshot_from_event(
-    event: CheckpointEvent,
-    lrcs: Mapping[str, float],
-    confidence: float = 0.99,
-    indifference: float = 0.002,
-) -> ConvergenceSnapshot:
-    """Diagnostics of one globally-pooled checkpoint event."""
-    pooled = {
-        name: (successes, samples)
-        for name, successes, samples in event.counts
-    }
-    return snapshot_from_counts(
-        event.run, pooled, lrcs, confidence, indifference
-    )
-
-
 # ----------------------------------------------------------------------
 # Stopping
 
@@ -584,3 +421,71 @@ class AdaptiveResult:
             "checkpoints": len(self.snapshots),
             "final_snapshot": final,
         }
+
+
+def drive_adaptive(
+    rule: StoppingRule,
+    max_runs: int,
+    run_chunk: "Callable[[int, int], BatchResult]",
+    prefix: "BatchResult | None" = None,
+    on_snapshot: (
+        "Callable[[ConvergenceSnapshot, StopDecision], None] | None"
+    ) = None,
+) -> AdaptiveResult:
+    """Grow a batch along *rule*'s schedule until the rule stops it.
+
+    At every boundary ``n`` of ``rule.schedule(max_runs)`` the loop
+    simulates the runs it does not have yet with
+    ``run_chunk(have, n)`` (global runs ``[have, n)``, merged onto
+    what came before), evaluates the snapshot of the pooled counts of
+    runs ``0..n-1`` against the batch's LRCs, and asks the rule to
+    decide.  *prefix* is an already-simulated batch of the same seed
+    (a service cache entry): boundaries inside it are replayed from
+    its counts without simulating.  *on_snapshot* observes every
+    ``(snapshot, decision)`` pair as it is taken.
+
+    The returned result holds exactly the first ``stopped_at`` runs,
+    bit-identical to a fixed batch of that length.
+    """
+    from repro.runtime.executor import (
+        merge_batch_results,
+        slice_batch_result,
+    )
+
+    schedule = rule.schedule(max_runs)
+    merged = prefix
+    snapshots = []
+    decision = None
+    for boundary in schedule:
+        have = 0 if merged is None else merged.runs
+        if boundary > have:
+            chunk = run_chunk(have, boundary)
+            merged = (
+                chunk if merged is None
+                else merge_batch_results([merged, chunk])
+            )
+        snapshot = snapshot_from_counts(
+            boundary,
+            merged.prefix_pooled_counts(boundary),
+            {
+                name: comm.lrc
+                for name, comm in merged.spec.communicators.items()
+            },
+            confidence=rule.confidence,
+            indifference=rule.indifference,
+        )
+        snapshots.append(snapshot)
+        decision = rule.decide(snapshot, max_runs)
+        if on_snapshot is not None:
+            on_snapshot(snapshot, decision)
+        if decision.stop:
+            break
+    assert merged is not None and decision is not None
+    return AdaptiveResult(
+        result=slice_batch_result(merged, decision.run),
+        stopped_at=decision.run,
+        max_runs=max_runs,
+        schedule=schedule,
+        snapshots=tuple(snapshots),
+        decision=decision,
+    )

@@ -1,6 +1,6 @@
 """Convergence telemetry and deterministic adaptive stopping.
 
-The tentpole contract, in three differential claims driven over
+The contract, in two differential claims driven over
 Hypothesis-generated systems:
 
 * **truncation**: an adaptive batch stopped at ``n`` runs is
@@ -9,15 +9,10 @@ Hypothesis-generated systems:
   run sequence, never *what* is simulated;
 * **stop parity**: the stop point is a function of pooled counts at
   global checkpoint boundaries only, so serial, inline-sharded, and
-  supervised-with-injected-kill executions stop at the same run;
-* **stream sanity**: merged checkpoint event streams are run-monotone
-  with non-decreasing counts — one global convergence trajectory
-  regardless of how the batch was sharded.
+  supervised-with-injected-kill executions stop at the same run.
 
 The unit tests pin down the checkpoint schedule, the sequential
-(SPRT) verdicts, the stopping rule's decision table, the slice/merge
-event algebra, and the shard-stamping rebase in
-:class:`~repro.telemetry.shardbuffer.ShardEventBuffer`.
+(SPRT) verdicts, and the stopping rule's decision table.
 """
 
 import math
@@ -48,13 +43,9 @@ from repro.runtime import (
     ShardedExecutor,
 )
 from repro.runtime.executor import ChaosAction
-from repro.telemetry import ShardEventBuffer
 from repro.telemetry.convergence import (
-    CheckpointEvent,
     StoppingRule,
-    checkpoint_events_for_slice,
     checkpoint_schedule,
-    merge_checkpoint_events,
     snapshot_from_counts,
 )
 
@@ -238,66 +229,6 @@ def test_stopping_rule_rejects_nonsense():
 
 
 # ----------------------------------------------------------------------
-# The slice/merge event algebra.
-# ----------------------------------------------------------------------
-
-
-def test_slice_events_cover_boundaries_and_slice_end():
-    _, batch = three_tank_batch()
-    result = batch.executor.execute(
-        batch,
-        [np.random.SeedSequence(7, spawn_key=(k,)) for k in range(5)],
-        6, None,
-    )
-    events = checkpoint_events_for_slice(result, 10, (4, 12, 20))
-    # Boundaries inside (10, 15] plus the unconditional slice end.
-    assert [(e.run, e.scheduled) for e in events] == [
-        (12, True), (15, False),
-    ]
-    assert all(event.run_start == 10 for event in events)
-
-
-def test_merge_rejects_non_contiguous_slices():
-    left = CheckpointEvent(run=4, counts=(("c", 4, 4),), run_start=0)
-    gap = CheckpointEvent(run=9, counts=(("c", 4, 4),), run_start=6)
-    with pytest.raises(AnalysisError, match="contiguous"):
-        merge_checkpoint_events([left, gap])
-
-
-def test_merged_stream_equals_serial_stream():
-    checkpoints = (3, 6, 9, 12)
-    _, batch = three_tank_batch()
-
-    def slice_events(start, stop):
-        children = [
-            np.random.SeedSequence(7, spawn_key=(k,))
-            for k in range(start, stop)
-        ]
-        result = SerialExecutor().execute(batch, children, 6, None)
-        return checkpoint_events_for_slice(result, start, checkpoints)
-
-    serial = merge_checkpoint_events(slice_events(0, 12))
-    sharded = merge_checkpoint_events(
-        slice_events(0, 5) + slice_events(5, 12)
-    )
-    assert [e.to_dict() for e in sharded] == [
-        e.to_dict() for e in serial
-    ]
-    assert [e.run for e in serial] == list(checkpoints)
-
-
-def test_shard_buffer_stamps_and_rebases_checkpoint_events():
-    buffer = ShardEventBuffer(shard=3, run_offset=10)
-    buffer.append(
-        CheckpointEvent(run=4, counts=(("c", 3, 4),), run_start=0)
-    )
-    event = buffer.events[0]
-    assert event.shard == 3
-    assert event.run == 14
-    assert event.run_start == 10
-
-
-# ----------------------------------------------------------------------
 # Differential claim (a): adaptive == fixed-run truncation.
 # ----------------------------------------------------------------------
 
@@ -375,38 +306,3 @@ def test_stop_point_survives_supervised_worker_kills():
     assert supervised.decision.reason == serial.decision.reason
     assert_identical(serial.result, supervised.result)
 
-
-# ----------------------------------------------------------------------
-# Differential claim (c): merged streams are monotone.
-# ----------------------------------------------------------------------
-
-
-@RELAXED
-@given(
-    systems(),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=5),
-)
-def test_merged_checkpoint_stream_is_monotone(system, seed, jobs):
-    spec, arch, impl = system
-    checkpoints = checkpoint_schedule(12, first=2)
-    marks: list = []
-    BatchSimulator(
-        spec, arch, impl,
-        faults=BernoulliFaults(arch), seed=seed,
-        executor=ShardedExecutor(jobs, processes=False),
-    ).run_batch(
-        12, 6, checkpoints=checkpoints, on_checkpoint=marks.append
-    )
-    runs = [event.run for event in marks]
-    assert runs == sorted(runs) and len(set(runs)) == len(runs)
-    assert runs == list(checkpoints)
-    for earlier, later in zip(marks, marks[1:]):
-        previous = dict(
-            (name, (successes, samples))
-            for name, successes, samples in earlier.counts
-        )
-        for name, successes, samples in later.counts:
-            assert successes >= previous[name][0]
-            assert samples >= previous[name][1]
-            assert 0 <= successes <= samples

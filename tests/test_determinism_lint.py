@@ -1,9 +1,10 @@
 """The determinism self-lint: the source tree stays reproducible.
 
-``tools/check_determinism.py`` forbids global-RNG use and wall-clock
-reads outside the sanctioned entry points.  These tests run it over
-the real source tree (the repository's contract) and over synthetic
-fixtures (the checker's own correctness).
+``tools/check_determinism.py`` forbids global-RNG use, wall-clock
+reads, and per-run seed derivation outside the sanctioned entry
+points.  These tests run it over the real source tree (the
+repository's contract) and over synthetic fixtures (the checker's own
+correctness).
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def test_source_tree_is_deterministic():
             "from datetime import datetime\nd = datetime.now()\n",
             "wall clock",
         ),
+        (
+            "import numpy as np\n"
+            "c = np.random.SeedSequence(7, spawn_key=(3,))\n",
+            "per-run seed children",
+        ),
+        (
+            "from numpy.random import SeedSequence\n"
+            "cs = SeedSequence(7).spawn(4)\n",
+            "per-run seed children",
+        ),
     ],
 )
 def test_checker_flags_nondeterminism(tmp_path, source, fragment):
@@ -85,7 +96,9 @@ def test_checker_flags_nondeterminism(tmp_path, source, fragment):
 def test_checker_accepts_seeded_use(tmp_path, source):
     path = tmp_path / "module.py"
     path.write_text(source)
-    assert checker.check_file(path, "module.py") == []
+    # Checked as the batch seed-derivation point, the one module that
+    # may also spawn per-run children.
+    assert checker.check_file(path, "runtime/batch.py") == []
 
 
 def test_clock_allowlist_is_honoured(tmp_path):

@@ -153,18 +153,38 @@ def test_sharded_is_bit_identical_on_generated_systems(
     spec, arch, impl = system
     monitor = MonitorConfig(window=4)
 
-    def run(executor):
+    def simulator(executor):
         return BatchSimulator(
             spec, arch, impl,
             faults=BernoulliFaults(arch), seed=seed,
             executor=executor,
-        ).run_batch(runs, 6, monitor=monitor)
+        )
 
-    serial = run(SerialExecutor())
+    serial = simulator(SerialExecutor()).run_batch(
+        runs, 6, monitor=monitor
+    )
     # Inline shards exercise the slice/merge arithmetic on every
     # example; the fork path is covered by the process tests below.
-    sharded = run(ShardedExecutor(jobs, processes=False))
-    assert_identical(serial, sharded)
+    sharded = simulator(ShardedExecutor(jobs, processes=False))
+    assert_identical(serial, sharded.run_batch(runs, 6, monitor=monitor))
+    # The [start, stop) entry point returns exactly the matching rows
+    # of the whole batch, from run 0 and from mid-batch.
+    for start in sorted({0, runs // 2}):
+        for executor in (
+            SerialExecutor(), ShardedExecutor(3, processes=False),
+        ):
+            part = simulator(executor).run_range(
+                start, runs, 6, monitor=monitor
+            )
+            assert part.runs == runs - start
+            for name, counts in serial.reliable_counts.items():
+                assert np.array_equal(
+                    part.reliable_counts[name], counts[start:]
+                )
+            assert part.monitor_events == tuple(
+                event for event in serial.monitor_events
+                if event.run >= start
+            )
 
 
 @pytest.mark.parametrize("jobs", [2, 3, 5, 23, 64])

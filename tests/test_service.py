@@ -34,6 +34,7 @@ from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.jobs import ServiceError
 from repro.service.server import make_server
 from repro.telemetry import RunLedger
+from repro.telemetry.convergence import StoppingRule
 
 FUNCTIONS = bind_control_functions()
 
@@ -361,6 +362,46 @@ def test_adaptive_replay_on_warm_cache_is_a_pure_hit():
     assert service.metrics.get("runs_simulated_total") == simulated
 
 
+def test_adaptive_job_extends_a_partial_warm_cache():
+    cold = run_job(make_service(), adaptive_document())
+    stopped = cold.result["runs"]
+    # Warm the cache with a fixed-run prefix that ends between two
+    # checkpoint boundaries, short of the adaptive stop point.
+    prefix_runs = stopped // 2 + 3
+    assert prefix_runs < stopped
+    service = make_service()
+    prefix = adaptive_document()
+    for key in ("adaptive", "min_runs"):
+        prefix.pop(key)
+    prefix["runs"] = prefix_runs
+    run_job(service, prefix)
+
+    warm = run_job(service, adaptive_document())
+    assert warm.result["cache"] == "partial"
+    assert warm.result["simulated_runs"] == stopped - prefix_runs
+    assert service.metrics.get("runs_simulated_total") == stopped
+    chunks = [
+        (event["offset"], event["runs"])
+        for event in warm.events if event["state"] == "simulating"
+    ]
+    assert chunks[0][0] == prefix_runs
+    assert sum(runs for _, runs in chunks) == stopped - prefix_runs
+    assert warm.result["runs"] == stopped
+    assert warm.result["rates"] == cold.result["rates"]
+    # ... and the same as the CLI's driver with that seed.
+    spec = three_tank_spec(lrc_u=0.99, lrc_s=0.99, functions=FUNCTIONS)
+    arch = three_tank_architecture()
+    direct = BatchSimulator(
+        spec, arch, baseline_implementation(),
+        faults=BernoulliFaults(arch), seed=7,
+    ).run_adaptive(320, 40, rule=StoppingRule(min_runs=8))
+    assert direct.stopped_at == stopped
+    averages = direct.result.limit_averages()
+    assert warm.result["rates"] == {
+        name: float(averages[name].mean()) for name in sorted(averages)
+    }
+
+
 def test_adaptive_sharded_job_stops_at_the_serial_point():
     serial = run_job(make_service(), adaptive_document())
     sharded = run_job(
@@ -380,6 +421,9 @@ def test_adaptive_validation_rejects_nonsense():
         {"adaptive": True, "stop_confidence": 1.0},
         {"adaptive": True, "indifference": -0.1},
         {"adaptive": True, "sequential": "always"},
+        # A rule with no enabled criterion fails at submit, not
+        # inside a worker.
+        {"adaptive": True, "sequential": False},
     ):
         with pytest.raises(ServiceError):
             service.submit(simulate_document(**bad))

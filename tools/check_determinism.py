@@ -25,6 +25,14 @@ in:
   deadlines and backoff sleeps to rescue failed workers, and no clock
   reaches simulation state.
 
+* **Stray per-run seed derivation** — per-run seed children
+  (``SeedSequence(..., spawn_key=...)`` and any ``.spawn(...)`` call)
+  may be built only where the seed contract lives:
+  ``runtime/batch.py`` (``BatchSimulator.run_range``, the batch
+  path's one derivation point) and ``resilience/executive.py`` (the
+  per-run resilient loop).  Everything else asks ``run_range`` for a
+  run range, so a change of contract touches one place.
+
 Run it directly (CI does)::
 
     python tools/check_determinism.py [--root src/repro]
@@ -66,6 +74,15 @@ CLOCK_ALLOWLIST = frozenset(
     }
 )
 
+#: Files (relative to the scan root) that may build per-run seed
+#: children.  Keep this list at the places that define the contract.
+SEED_DERIVATION_ALLOWLIST = frozenset(
+    {
+        "runtime/batch.py",
+        "resilience/executive.py",
+    }
+)
+
 #: Module-level ``numpy.random`` attributes that may be *called*:
 #: explicitly seeded constructors and generator classes.
 ALLOWED_NUMPY_RANDOM_CALLS = frozenset(
@@ -100,6 +117,7 @@ class _Checker(ast.NodeVisitor):
     def __init__(self, relative: str) -> None:
         self.relative = relative
         self.clock_ok = relative in CLOCK_ALLOWLIST
+        self.seed_derivation_ok = relative in SEED_DERIVATION_ALLOWLIST
         self.violations: list[tuple[int, str]] = []
         #: Local alias -> canonical module name ("random", "time",
         #: "datetime", "numpy", "numpy.random").
@@ -190,6 +208,20 @@ class _Checker(ast.NodeVisitor):
         dotted = self._dotted(node.func)
         if dotted is not None:
             self._check_call(node, dotted)
+        spawns = (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "spawn"
+        )
+        keyed = dotted == "numpy.random.SeedSequence" and any(
+            keyword.arg == "spawn_key" for keyword in node.keywords
+        )
+        if (spawns or keyed) and not self.seed_derivation_ok:
+            self.report(
+                node,
+                "per-run seed children are built only in "
+                "runtime/batch.py (BatchSimulator.run_range) and "
+                "resilience/executive.py; ask run_range for the runs",
+            )
         self.generic_visit(node)
 
     def _check_call(self, node: ast.Call, dotted: str) -> None:
