@@ -663,14 +663,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 print(profiler.render())
             return 0 if ok else 1
         tracer, metrics_sink, sinks = _build_telemetry(args, spec)
-        telemetry = None
-        if sinks:
-            from repro.telemetry import TelemetryBus, derive_run_id
-
-            telemetry = TelemetryBus(
-                run_id=derive_run_id(args.seed), sinks=sinks
-            )
         recorder = _build_forensics(args, spec)
+        if recorder is not None:
+            sinks = sinks + (recorder,)
         resilient = ResilientSimulator(
             spec,
             arch,
@@ -680,8 +675,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             monitor=monitor_config,
             watchdog=watchdog,
             policies=policies,
-            telemetry=telemetry,
-            sinks=(recorder,) if recorder is not None else (),
+            sinks=sinks,
         )
         with profiler.stage("resilient-run"):
             result = resilient.run(args.iterations)
@@ -795,12 +789,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         monitor = LrcMonitor(spec, monitor_config)
     tracer, metrics_sink, sinks = _build_telemetry(args, spec)
+    if monitor is not None:
+        sinks = (monitor, *sinks)
     recorder = _build_forensics(args, spec)
     if recorder is not None:
         sinks = sinks + (recorder,)
     simulator = Simulator(
         spec, arch, implementation, faults=faults, seed=args.seed,
-        monitor=monitor, sinks=sinks,
+        sinks=sinks,
     )
     with profiler.stage("scalar-run"):
         result = simulator.run(args.iterations)

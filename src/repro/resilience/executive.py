@@ -11,10 +11,15 @@ PR 2 seed contract survives recovery: the same seed produces the same
 fault draws, the same detection instants, the same recovery, and the
 same event stream, run after run.
 
-``resilient_batch`` loops the executive over ``SeedSequence.spawn``
-children — the same spawning the batch executor uses — so run ``k``
-of a resilient batch is bit-identical to a directly constructed
-:class:`ResilientSimulator` seeded with child ``k``, events included.
+``resilient_batch`` loops the executive over the per-run seed
+children of :func:`~repro.runtime.batch.run_seeds` — the same children
+the batch executor uses — so run ``k`` of a resilient batch is
+bit-identical to a directly constructed :class:`ResilientSimulator`
+seeded with child ``k``, events included.
+
+Observers attach as ``sinks=``: they see the engine hook stream of
+every chained period and each resilience event as it is emitted, and
+the stamped event stream comes back as :attr:`ResilientResult.events`.
 """
 
 from __future__ import annotations
@@ -48,11 +53,11 @@ from repro.resilience.policies import (
     RecoveryPolicy,
     first_applicable,
 )
+from repro.runtime.batch import run_seeds
 from repro.runtime.engine import SimulationResult, Simulator
 from repro.runtime.environment import Environment
 from repro.runtime.faults import FaultInjector, NoFaults
 from repro.runtime.voting import Voter, first_non_bottom
-from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.runid import derive_run_id
 from repro.telemetry.sink import InstrumentationSink
 
@@ -64,7 +69,7 @@ class _EventRelay:
     executive: every appended event is stamped with the run's stable
     ``run_id`` and its monotonic emission index ``seq`` (so merged
     batch streams sort deterministically), then fanned out to the
-    telemetry sinks — one correlated stream per run.
+    sinks — one correlated stream per run.
     """
 
     __slots__ = ("events", "run_id", "sinks")
@@ -256,17 +261,13 @@ class ResilientSimulator:
         As for :class:`~repro.runtime.engine.Simulator`.  The seed
         governs every stochastic fault draw; two runs with the same
         seed produce identical traces *and* identical event streams.
-    telemetry:
-        Optional :class:`~repro.telemetry.bus.TelemetryBus`: its
-        sinks (tracer, metrics) receive the engine hook stream of
-        every chained period *and* each resilience event as it is
-        emitted, and the bus collects the stamped events.
     sinks:
-        Extra :class:`~repro.telemetry.sink.InstrumentationSink`
-        subscribers (e.g. a
-        :class:`~repro.telemetry.provenance.ProvenanceRecorder`)
-        attached directly, without a bus; they see the same hook
-        stream and stamped events as the bus sinks.
+        :class:`~repro.telemetry.sink.InstrumentationSink`
+        subscribers (tracer, metrics, a
+        :class:`~repro.telemetry.provenance.ProvenanceRecorder`, ...):
+        they receive the engine hook stream of every chained period,
+        after the online monitor, *and* each resilience event as it
+        is emitted, stamped.
     run_id:
         Correlation key stamped on every event; defaults to
         :func:`~repro.telemetry.runid.derive_run_id` of the seed, so
@@ -289,7 +290,6 @@ class ResilientSimulator:
         watchdog: "WatchdogConfig | None" = None,
         policies: Sequence[RecoveryPolicy] = (),
         max_recoveries: int = 4,
-        telemetry: "TelemetryBus | None" = None,
         sinks: Iterable[InstrumentationSink] = (),
         run_id: "str | None" = None,
     ) -> None:
@@ -312,7 +312,6 @@ class ResilientSimulator:
         self.watchdog_config = watchdog
         self.policies = tuple(policies)
         self.max_recoveries = max_recoveries
-        self.telemetry = telemetry
         self.sinks: "tuple[InstrumentationSink, ...]" = tuple(sinks)
         self.run_id = run_id
 
@@ -355,12 +354,7 @@ class ResilientSimulator:
         run_id = (
             self.run_id if self.run_id is not None else derive_run_id(rng)
         )
-        telemetry_sinks: "tuple[InstrumentationSink, ...]" = (
-            self.telemetry.engine_sinks()
-            if self.telemetry is not None
-            else ()
-        ) + self.sinks
-        relay = _EventRelay(run_id, telemetry_sinks)
+        relay = _EventRelay(run_id, self.sinks)
         events = relay.events
         monitor = (
             LrcMonitor(self.spec, self.monitor_config, sink=relay)
@@ -373,6 +367,9 @@ class ResilientSimulator:
             )
             if self.watchdog_config is not None
             else None
+        )
+        hook_sinks = (
+            self.sinks if monitor is None else (monitor, *self.sinks)
         )
 
         simulators: dict[tuple, Simulator] = {}
@@ -389,8 +386,7 @@ class ResilientSimulator:
                     voter=self.voter,
                     actuator_communicators=self.actuators,
                     seed=rng,
-                    monitor=monitor,
-                    sinks=telemetry_sinks,
+                    sinks=hook_sinks,
                 )
             return simulators[key]
 
@@ -481,11 +477,6 @@ class ResilientSimulator:
             current = outcome.implementation
             implementation_log.append((index + 1, current))
 
-        if self.telemetry is not None:
-            # The sinks saw each event live (via the relay); the bus
-            # list just collects the stamped stream for export.
-            self.telemetry.events.extend(events)
-
         return ResilientResult(
             spec=self.spec,
             iterations=iterations,
@@ -548,16 +539,16 @@ def resilient_batch(
     Recovery decisions depend on each run's own fault draws, so the
     detect→decide→recover loop is inherently per-run; this helper
     preserves the batch seed contract by looping the scalar resilient
-    executive over the same ``SeedSequence.spawn`` children the
-    vectorized executor uses.  Run ``k`` (counts and events alike) is
-    bit-identical to ``ResilientSimulator(...,
+    executive over the same :func:`~repro.runtime.batch.run_seeds`
+    children the vectorized executor uses.  Run ``k`` (counts and
+    events alike) is bit-identical to ``ResilientSimulator(...,
     seed=np.random.default_rng(children[k]))``.
     """
     if runs <= 0:
         raise RuntimeSimulationError(
             f"runs must be positive, got {runs}"
         )
-    children = np.random.SeedSequence(seed).spawn(runs)
+    children = run_seeds(seed, 0, runs)
     counts = {
         name: np.zeros(runs, dtype=np.int64)
         for name in spec.communicators

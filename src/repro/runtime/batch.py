@@ -19,15 +19,17 @@ any ``runs > k``.  A batch run is bit-identical to a scalar
 simulation seeded with that generator; the differential test suite
 holds the two executors to exactly this.
 
-:meth:`BatchSimulator.run_range` is the single place that builds
-those children: it simulates the global runs ``[start, stop)``.
-``run_batch`` is ``run_range(0, runs)``, the adaptive driver runs
-one range per checkpoint chunk, and the service simulates cache
-tails the same way (the determinism lint keeps per-run children out
-of every other module).  Because run ``k`` does not depend on the
-batch size, any *contiguous slice* of a batch can be computed in
-isolation: :meth:`BatchSimulator.run_slice` executes an explicit
-child list, and the pluggable executors of
+:func:`run_seeds` is the single place that builds those children.
+:meth:`BatchSimulator.run_range` simulates the global runs
+``[start, stop)`` over them: ``run_batch`` is ``run_range(0, runs)``,
+the adaptive driver runs one range per checkpoint chunk, and the
+service simulates cache tails the same way.
+:func:`~repro.resilience.executive.resilient_batch` loops its scalar
+executive over the same children (the determinism lint keeps
+per-run children out of every other module).  Because run ``k`` does
+not depend on the batch size, any *contiguous slice* of a batch can
+be computed in isolation: :meth:`BatchSimulator.run_slice` executes
+an explicit child list, and the pluggable executors of
 :mod:`repro.runtime.executor` exploit that to shard one batch across
 worker processes with bit-identical results
 (``SerialExecutor`` / ``ShardedExecutor`` /
@@ -204,6 +206,22 @@ class BatchResult:
         return "\n".join(lines)
 
 
+def run_seeds(
+    seed: "int | None", start: int, stop: int
+) -> list[np.random.SeedSequence]:
+    """The per-run seed children of runs ``[start, stop)`` of a batch.
+
+    Run ``k`` gets ``SeedSequence(seed, spawn_key=(k,))`` — child
+    ``k`` of ``SeedSequence(seed).spawn(n)`` for any ``n > k``, with
+    the same draws and the same
+    :func:`~repro.telemetry.runid.derive_run_id`.
+    """
+    return [
+        np.random.SeedSequence(seed, spawn_key=(k,))
+        for k in range(start, stop)
+    ]
+
+
 class BatchSimulator:
     """Vectorized Monte-Carlo executor over a compiled simulation plan.
 
@@ -303,8 +321,7 @@ class BatchSimulator:
     ) -> BatchResult:
         """Simulate the global runs ``[start, stop)`` of *seed*'s batch.
 
-        The one seed-derivation point of the batch path: run ``k``
-        gets ``SeedSequence(seed, spawn_key=(k,))``.  The result is
+        Run ``k`` is seeded by :func:`run_seeds`.  The result is
         bit-identical to runs ``start..stop-1`` of
         ``run_batch(stop, ...)`` — counts, and monitor events tagged
         with global run indices — so it merges onto a cached or
@@ -319,11 +336,9 @@ class BatchSimulator:
             raise RuntimeSimulationError(
                 f"iterations must be positive, got {iterations}"
             )
-        seed_value = self.seed if seed is None else seed
-        children = [
-            np.random.SeedSequence(seed_value, spawn_key=(k,))
-            for k in range(start, stop)
-        ]
+        children = run_seeds(
+            self.seed if seed is None else seed, start, stop
+        )
         # run_offset is keyword-only on the executor protocol and is
         # forwarded only mid-sequence, so positional-only executors
         # still run whole batches.
@@ -810,7 +825,7 @@ class BatchSimulator:
                 environment=environment,
                 faults=self.faults,
                 seed=np.random.default_rng(child),
-                monitor=run_monitor,
+                sinks=() if run_monitor is None else (run_monitor,),
             )
             result = simulator.run(iterations)
             for name, trace in result.abstract().items():

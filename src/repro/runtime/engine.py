@@ -153,21 +153,17 @@ class Simulator:
         ``np.random.default_rng(child_k)`` for spawn key ``k`` of
         ``np.random.SeedSequence(s).spawn(n)`` reproduces run ``k`` of
         ``BatchSimulator.run_batch(n, iterations, seed=s)`` exactly.
-    monitor:
-        Optional online :class:`~repro.resilience.monitor.LrcMonitor`
-        fed from the per-write hook: one ``observe`` call per
-        communicator access instant, right after the trace sample is
-        recorded, with ``reliable = value is not BOTTOM``.  The
-        monitor is an :class:`InstrumentationSink`; this keyword is a
-        convenience that prepends it to *sinks*.
     sinks:
         :class:`InstrumentationSink` subscribers (tracer, metrics,
-        monitor, ...) receiving the run's hook stream: run and
+        online :class:`~repro.resilience.monitor.LrcMonitor`, ...)
+        receiving the run's hook stream, in the given order: run and
         iteration framing, sensor updates, per-access records, task
-        releases, replica broadcasts, and vote commits.  Sinks are
-        observers — they see every semantic instant but never consume
-        randomness or touch the store, so an instrumented run is
-        bit-identical to a bare one.
+        releases, replica broadcasts, and vote commits.  A monitor
+        sees one ``on_access`` per communicator access instant, right
+        after the trace sample is recorded.  Sinks are observers —
+        they see every semantic instant but never consume randomness
+        or touch the store, so an instrumented run is bit-identical
+        to a bare one.
     """
 
     def __init__(
@@ -180,7 +176,6 @@ class Simulator:
         voter: Voter = first_non_bottom,
         actuator_communicators: Iterable[str] | None = None,
         seed: "int | np.random.Generator" = 0,
-        monitor: "InstrumentationSink | None" = None,
         sinks: Iterable[InstrumentationSink] = (),
     ) -> None:
         self.spec = spec
@@ -201,7 +196,6 @@ class Simulator:
             self.rng = seed
         else:
             self.rng = np.random.default_rng(seed)
-        self.monitor = monitor
         self.sinks: tuple[InstrumentationSink, ...] = tuple(sinks)
         missing = sorted(
             t.name for t in spec.tasks.values() if t.function is None
@@ -265,13 +259,10 @@ class Simulator:
         horizon = start_time + iterations * period
         if reset_faults:
             self.faults.begin_run(self.rng, horizon)
-        # The monitor is just the first sink; the per-hook filtered
-        # dispatch tables mean each hook site only touches sinks that
-        # override that hook (an unsubscribed site costs one branch).
-        hooks = HookSinks(
-            ((self.monitor,) if self.monitor is not None else ())
-            + self.sinks
-        )
+        # The per-hook filtered dispatch tables mean each hook site
+        # only touches sinks that override that hook (an unsubscribed
+        # site costs one branch).
+        hooks = HookSinks(self.sinks)
         iteration_sinks = hooks.on_iteration_start
         sensor_outcome_sinks = hooks.on_sensor_outcome
         sensor_sinks = hooks.on_sensor_update

@@ -1,10 +1,11 @@
 """Pluggable batch executors: serial reference and sharded fan-out.
 
 PR 7 extracts the execution *strategy* out of
-:class:`~repro.runtime.batch.BatchSimulator`: its one seed-derivation
-point, :meth:`~repro.runtime.batch.BatchSimulator.run_range`, builds
-the per-run seed-sequence children and delegates to a
-:class:`BatchExecutor`.
+:class:`~repro.runtime.batch.BatchSimulator`:
+:meth:`~repro.runtime.batch.BatchSimulator.run_range` builds the
+per-run seed-sequence children (through
+:func:`~repro.runtime.batch.run_seeds`, the one seed-derivation
+point) and delegates to a :class:`BatchExecutor`.
 
 * :class:`SerialExecutor` is the in-process reference: one
   :meth:`~repro.runtime.batch.BatchSimulator.run_slice` call over the
@@ -41,12 +42,11 @@ by its slice of the spawned children (asserted differentially in
 are the fault-injection surface the :mod:`repro.chaos` harness drives;
 production use leaves ``chaos=None``.
 
-Monitor events cross back through per-shard
-:class:`~repro.telemetry.shardbuffer.ShardEventBuffer` instances and,
-when a :class:`~repro.telemetry.bus.TelemetryBus` is attached, are
-replayed onto it in deterministic run order — traces, metrics, and
-provenance subscribers observe the same stream an unsharded run
-would have produced.
+Everything a sharded run observes comes back on plain data: monitor
+events on the merged result's ``monitor_events`` (in the run order an
+unsharded run would have produced), retries on
+:attr:`ShardedExecutor.retry_events`, and, with a trace context set,
+one span per shard on :attr:`ShardedExecutor.shard_spans`.
 
 The supervision loop reads clocks (monotonic deadlines, backoff
 sleeps, retry timestamps), so this module is on the determinism-lint
@@ -76,7 +76,6 @@ from repro.runtime.batch import BatchResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
     from repro.runtime.batch import BatchSimulator
-    from repro.telemetry.bus import TelemetryBus
 
 
 @runtime_checkable
@@ -314,8 +313,6 @@ class ShardRetryEvent:
     delay_s: float = 0.0
     run_start: int = 0
     run_stop: int = 0
-    #: Replay-order key parity with resilience events (no run index).
-    run: "int | None" = field(default=None, kw_only=True)
     #: Epoch timestamp of the retry decision (distributed tracing);
     #: 0.0 means "unstamped" and is dropped from the dict form so the
     #: serialized shape is unchanged for pre-tracing consumers.
@@ -326,8 +323,6 @@ class ShardRetryEvent:
     def to_dict(self) -> dict:
         doc = {"kind": self.kind}
         doc.update(asdict(self))
-        if doc["run"] is None:
-            del doc["run"]
         if not doc["noted_at"]:
             del doc["noted_at"]
         return doc
@@ -493,6 +488,18 @@ class _ShardState:
         self.process = None
 
 
+def _stamped(spans: "Sequence[dict]", state: _ShardState) -> tuple:
+    """Stamp the shard index and attempt onto a shard's worker spans.
+
+    Workers don't know which attempt they are, so the parent stamps
+    both keys; the surviving span names the rescue attempt.
+    """
+    return tuple(
+        {**span, "attempt": state.attempt, "shard": state.index}
+        for span in spans
+    )
+
+
 class ShardedExecutor:
     """Fan one batch out over *jobs* supervised worker processes.
 
@@ -515,22 +522,18 @@ class ShardedExecutor:
         ``False`` (or a platform without ``fork``) executes shards
         inline in the parent — the same slice/merge arithmetic, with
         the same retry loop around each slice.
-    telemetry:
-        Optional :class:`~repro.telemetry.bus.TelemetryBus`;
-        :class:`ShardRetryEvent` instances are appended live, and the
-        merged monitor-event stream is replayed onto it in
-        deterministic run order after the shards complete.
     chaos:
         Optional :class:`WorkerFaults` plan (testing/chaos only).
-    trace:
-        Optional :class:`~repro.telemetry.distributed.TraceContext`.
-        When set, the successful attempt of every shard records one
-        epoch-stamped span (stamped with the attempt number by the
-        supervisor), merged in run order onto :attr:`shard_spans`
-        after :meth:`execute`.  Failed attempts ship no span, so a
-        kill/retry still leaves exactly one span per shard.  Tracing
-        is observer-only — it rides outside the batch payload and
-        never changes results.
+
+    Setting :attr:`trace_context` to a
+    :class:`~repro.telemetry.distributed.TraceContext` makes the
+    successful attempt of every shard record one epoch-stamped span,
+    stamped with its ``shard`` index and ``attempt`` number and left
+    in shard (= run) order on :attr:`shard_spans` after
+    :meth:`execute`.  Failed attempts ship no span, so a kill/retry
+    still leaves exactly one span per shard.  Tracing is
+    observer-only — it rides outside the batch payload and never
+    changes results.
     """
 
     name = "sharded"
@@ -541,9 +544,7 @@ class ShardedExecutor:
         policy: "RetryPolicy | None" = None,
         deadline_s: "float | None" = None,
         processes: bool = True,
-        telemetry: "TelemetryBus | None" = None,
         chaos: "WorkerFaults | None" = None,
-        trace: "Any | None" = None,
     ) -> None:
         if jobs < 1:
             raise RuntimeSimulationError(
@@ -557,12 +558,12 @@ class ShardedExecutor:
         self.policy = policy or RetryPolicy()
         self.deadline_s = deadline_s
         self.processes = processes
-        self.telemetry = telemetry
         self.chaos = chaos
-        self.trace_context = trace
+        #: Optional :class:`~repro.telemetry.distributed.TraceContext`.
+        self.trace_context: "Any | None" = None
         #: Retry events of the most recent :meth:`execute` call.
         self.retry_events: list[ShardRetryEvent] = []
-        #: Merged tracing spans of the most recent :meth:`execute`.
+        #: Per-shard tracing spans of the most recent :meth:`execute`.
         self.shard_spans: list[dict] = []
 
     # -- the BatchExecutor protocol -------------------------------------
@@ -599,28 +600,9 @@ class ShardedExecutor:
                 context, simulator, children, iterations, monitor,
                 slices, run_offset,
             )
-        merged = merge_batch_results(shards)
-        if self.telemetry is not None or self.trace_context is not None:
-            from repro.telemetry.shardbuffer import (
-                ShardEventBuffer,
-                collect_spans,
-                replay_sharded,
-            )
-
-            buffers = []
-            for index, (shard, spans) in enumerate(
-                zip(shards, span_lists)
-            ):
-                buffer = ShardEventBuffer(shard=index)
-                for event in shard.monitor_events:
-                    buffer.on_event(event)
-                for span in spans:
-                    buffer.on_span(span)
-                buffers.append(buffer)
-            if self.telemetry is not None:
-                replay_sharded(buffers, self.telemetry)
-            self.shard_spans = collect_spans(buffers)
-        return merged
+        # Shards are contiguous, so shard order is run order.
+        self.shard_spans = [span for spans in span_lists for span in spans]
+        return merge_batch_results(shards)
 
     # -- retry bookkeeping ----------------------------------------------
 
@@ -639,8 +621,6 @@ class ShardedExecutor:
             noted_at=time.time(),
         )
         self.retry_events.append(event)
-        if self.telemetry is not None:
-            self.telemetry.append(event)
 
     def _give_up(self, state: _ShardState, detail: str) -> None:
         first = state.offset + state.start
@@ -679,13 +659,12 @@ class ShardedExecutor:
                 with shard_span(
                     self.trace_context,
                     run_offset + start, run_offset + stop,
-                    attempt=state.attempt,
                 ) as recorder:
                     result = simulator.run_slice(
                         children[start:stop], iterations, monitor,
                         run_offset=run_offset + start,
                     )
-                return result, tuple(recorder.spans)
+                return result, _stamped(recorder.spans, state)
             except RuntimeSimulationError as error:
                 if state.attempt >= self.policy.retries:
                     self._give_up(state, str(error))
@@ -794,13 +773,7 @@ class ShardedExecutor:
                         state.result = _result_of(
                             payload, simulator, iterations
                         )
-                        # Workers don't know which attempt they are;
-                        # the supervisor stamps it parent-side so the
-                        # surviving span names the rescue attempt.
-                        state.spans = tuple(
-                            {**span, "attempt": state.attempt}
-                            for span in payload.spans
-                        )
+                        state.spans = _stamped(payload.spans, state)
                         conn.close()
                         state.conn = None
                         state.process.join()

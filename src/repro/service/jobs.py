@@ -23,8 +23,9 @@ Job document fields (``kind`` selects the pipeline):
 Cache semantics (the PR 7 contract): an identical repeated simulate
 job answers from cache without simulating; a ``runs`` upgrade
 simulates only the tail ``cached.runs..runs-1`` — through
-:meth:`~repro.runtime.batch.BatchSimulator.run_range`, the batch
-path's one seed-derivation point — and merges, so the reply is
+:meth:`~repro.runtime.batch.BatchSimulator.run_range`, seeded by
+the one seed-derivation point :func:`~repro.runtime.batch.run_seeds`
+— and merges, so the reply is
 bit-identical to a fresh full batch.  Both facts are asserted through
 the :class:`~repro.service.cache.ServiceMetrics` counters.  Adaptive
 jobs run the same
@@ -83,6 +84,11 @@ from repro.telemetry.distributed import (
 TERMINAL_STATES = frozenset(
     {"done", "failed", "timed_out", "cancelled"}
 )
+
+
+def _is_int(value: Any) -> bool:
+    """Whether a job field is an int (JSON ``true`` is not ``1``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ServiceError(ReproError):
@@ -514,22 +520,39 @@ class ReliabilityService:
                 raise ServiceError("simulate job needs an 'impl' dict")
             runs = doc.setdefault("runs", 1)
             iterations = doc.setdefault("iterations", 1)
-            if not isinstance(runs, int) or runs < 1:
+            if not _is_int(runs) or runs < 1:
                 raise ServiceError(f"runs must be >= 1, got {runs!r}")
-            if not isinstance(iterations, int) or iterations < 1:
+            if not _is_int(iterations) or iterations < 1:
                 raise ServiceError(
                     f"iterations must be >= 1, got {iterations!r}"
                 )
             jobs = doc.setdefault("jobs", 1)
-            if not isinstance(jobs, int) or jobs < 1:
+            if not _is_int(jobs) or jobs < 1:
                 raise ServiceError(f"jobs must be >= 1, got {jobs!r}")
+            bernoulli = doc.get("bernoulli", True)
+            if not isinstance(bernoulli, bool):
+                raise ServiceError(
+                    f"bernoulli must be a bool, got {bernoulli!r}"
+                )
+            window = doc.get("monitor_window")
+            if window is not None and (not _is_int(window) or window < 1):
+                raise ServiceError(
+                    f"monitor_window must be an int >= 1, got {window!r}"
+                )
+            slack = doc.get("slack", 0.01)
+            if isinstance(slack, bool) or not isinstance(
+                slack, (int, float)
+            ):
+                raise ServiceError(
+                    f"slack must be a number, got {slack!r}"
+                )
             self._adaptive_rule(doc)
         elif doc.get("adaptive"):
             raise ServiceError(
                 "adaptive stopping applies to simulate jobs only"
             )
         seed = doc.setdefault("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ServiceError(f"seed must be an int, got {seed!r}")
         timeout_s = doc.get("timeout_s", self.default_timeout_s)
         if timeout_s is not None:
@@ -967,20 +990,21 @@ class ReliabilityService:
         from repro.runtime.faults import BernoulliFaults
         from repro.telemetry.convergence import drive_adaptive
 
+        # Field types were checked by submit.
         doc = job.document
         spec, arch, impl = self._design(doc, need_impl=True)
-        runs = int(doc["runs"])
-        iterations = int(doc["iterations"])
-        seed = int(doc["seed"])
-        shards = int(doc.get("jobs", 1))
-        bernoulli = bool(doc.get("bernoulli", True))
-        slack = float(doc.get("slack", 0.01))
+        runs = doc["runs"]
+        iterations = doc["iterations"]
+        seed = doc["seed"]
+        shards = doc["jobs"]
+        bernoulli = doc.get("bernoulli", True)
+        slack = doc.get("slack", 0.01)
         window = doc.get("monitor_window")
         monitor = None
         if window is not None:
             from repro.resilience import MonitorConfig
 
-            monitor = MonitorConfig(window=int(window))
+            monitor = MonitorConfig(window=window)
         fingerprint = Verifier.design_fingerprint(spec, arch, impl)
         key = McKey(
             spec_hash=fingerprint[0],
@@ -989,7 +1013,7 @@ class ReliabilityService:
             seed=seed,
             iterations=iterations,
             bernoulli=bernoulli,
-            monitor_window=None if window is None else int(window),
+            monitor_window=window,
         )
         executor = self._executor(shards) if shards > 1 else None
         if executor is not None and self.tracing:

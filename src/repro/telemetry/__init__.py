@@ -28,15 +28,14 @@ Three pillars over one subscriber protocol
   JSONL keyed by content hashes, powering
   ``repro runs list|show|diff|regress``.
 
-Event streams are correlated across layers by the
-:func:`~repro.telemetry.runid.derive_run_id` key and merged on the
-:class:`~repro.telemetry.bus.TelemetryBus`.  The whole package is
+Every observer attaches the same way: as one of the ``sinks=`` of a
+simulator.  Event streams are correlated across layers by the
+:func:`~repro.telemetry.runid.derive_run_id` key.  The whole package is
 zero-dependency and observer-only: attaching telemetry never changes
 simulation draws (the PR 2 seed contract is regression-tested in
 ``tests/test_telemetry.py``).
 """
 
-from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.convergence import (
     AdaptiveResult,
     CommunicatorDiagnostics,
@@ -102,11 +101,6 @@ from repro.telemetry.provenance import (
     ProvenanceRecorder,
 )
 from repro.telemetry.runid import derive_run_id
-from repro.telemetry.shardbuffer import (
-    ShardEventBuffer,
-    collect_spans,
-    replay_sharded,
-)
 from repro.telemetry.sink import (
     HOOK_NAMES,
     HookSinks,
@@ -149,7 +143,6 @@ __all__ = [
     "Regression",
     "RunLedger",
     "RunRecord",
-    "ShardEventBuffer",
     "ShardSpanRecorder",
     "StageProfiler",
     "StageStats",
@@ -157,7 +150,6 @@ __all__ = [
     "StoppingRule",
     "TRACE_ENV",
     "TRACE_HEADER",
-    "TelemetryBus",
     "TraceContext",
     "TraceEvent",
     "TraceSummary",
@@ -167,7 +159,6 @@ __all__ = [
     "check_regression",
     "checkpoint_schedule",
     "client_span_record",
-    "collect_spans",
     "content_hash",
     "counterfactual",
     "derive_run_id",
@@ -183,7 +174,6 @@ __all__ = [
     "record_margins",
     "render_postmortem",
     "render_summary",
-    "replay_sharded",
     "shard_span",
     "sinks_for_hook",
     "snapshot_from_counts",

@@ -106,6 +106,8 @@ class ShardSpanRecorder:
     (forked process or inline fallback).  The resulting span dict is
     plain JSON-able data, shipped back through the picklable
     ``_ShardPayload`` — it never touches the batch result itself.
+    The parent stamps the ``shard`` index and ``attempt`` number on
+    arrival (the worker knows neither).
     """
 
     def __init__(
@@ -113,12 +115,10 @@ class ShardSpanRecorder:
         context: TraceContext,
         run_start: int,
         run_stop: int,
-        attempt: int = 0,
     ) -> None:
         self.context = context
         self.run_start = run_start
         self.run_stop = run_stop
-        self.attempt = attempt
         self.spans: list[dict] = []
         self._t0 = 0.0
 
@@ -138,7 +138,6 @@ class ShardSpanRecorder:
                     "job_id": self.context.job_id,
                     "run_start": self.run_start,
                     "run_stop": self.run_stop,
-                    "attempt": self.attempt,
                     "worker_pid": os.getpid(),
                     "started_at": self._t0,
                     "duration_s": time.time() - self._t0,
@@ -150,12 +149,11 @@ def shard_span(
     context: "TraceContext | None",
     run_start: int,
     run_stop: int,
-    attempt: int = 0,
 ) -> "ShardSpanRecorder | _NullSpanRecorder":
     """Span recorder for one shard attempt (no-op without a context)."""
     if context is None:
         return _NullSpanRecorder()
-    return ShardSpanRecorder(context, run_start, run_stop, attempt)
+    return ShardSpanRecorder(context, run_start, run_stop)
 
 
 def client_span_record(

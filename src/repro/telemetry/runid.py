@@ -5,7 +5,9 @@ events from a ``resilient_batch`` sweep can be merged and re-sorted
 deterministically.  The id is derived from the run's
 ``numpy.random.SeedSequence`` (entropy plus spawn key), which the
 PR 2 seed contract already fixes: batch run *k* is seeded with
-``SeedSequence(seed).spawn(runs)[k]``, so the direct construction
+``SeedSequence(seed, spawn_key=(k,))`` — child *k* of
+``SeedSequence(seed).spawn(runs)``, built in one place by
+:func:`~repro.runtime.batch.run_seeds` — so the direct construction
 ``ResilientSimulator(..., seed=children[k])`` and the batch path
 derive the *same* id without coordination.
 """

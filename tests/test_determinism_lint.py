@@ -101,6 +101,18 @@ def test_checker_accepts_seeded_use(tmp_path, source):
     assert checker.check_file(path, "runtime/batch.py") == []
 
 
+def test_seed_derivation_is_confined_to_the_batch_module(tmp_path):
+    source = (
+        "import numpy as np\n"
+        "children = np.random.SeedSequence(0).spawn(4)\n"
+    )
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    violations = checker.check_file(path, "resilience/executive.py")
+    assert any("per-run seed children" in v for v in violations)
+    assert checker.check_file(path, "runtime/batch.py") == []
+
+
 def test_clock_allowlist_is_honoured(tmp_path):
     source = "import time\nt = time.perf_counter()\n"
     path = tmp_path / "module.py"

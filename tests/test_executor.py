@@ -34,12 +34,8 @@ from repro.runtime import (
     shard_slices,
     slice_batch_result,
 )
-from repro.telemetry import (
-    ShardEventBuffer,
-    TelemetryBus,
-    record_from_result,
-    replay_sharded,
-)
+from repro.runtime.batch import run_seeds
+from repro.telemetry import TraceContext, derive_run_id, record_from_result
 
 from strategies import systems
 
@@ -127,12 +123,18 @@ def test_executors_satisfy_protocol():
 )
 def test_spawn_children_equal_spawn_key_construction(seed, runs):
     spawned = np.random.SeedSequence(seed).spawn(runs)
+    helper = run_seeds(seed, 0, runs)
     for k in (0, runs // 2, runs - 1):
         direct = np.random.SeedSequence(seed, spawn_key=(k,))
         assert (
             spawned[k].generate_state(4).tolist()
             == direct.generate_state(4).tolist()
+            == helper[k].generate_state(4).tolist()
         )
+        assert derive_run_id(spawned[k]) == derive_run_id(helper[k])
+    assert [c.spawn_key for c in run_seeds(seed, 2, 5)] == [
+        (2,), (3,), (4,),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -345,50 +347,25 @@ def test_slice_batch_result_is_prefix_identical():
 
 
 # ----------------------------------------------------------------------
-# The telemetry replay path.
+# Shard tracing spans.
 # ----------------------------------------------------------------------
 
 
-def test_shard_buffers_replay_in_run_order():
-    _, _, simulator = three_tank_simulator()
-    monitor = MonitorConfig(window=3)
-    serial = simulator.run_batch(10, 30, monitor=monitor)
-    shards = run_slices(
-        simulator, 10, 30, shard_slices(10, 3), monitor=monitor
-    )
-    buffers = []
-    for index, shard in enumerate(shards):
-        buffer = ShardEventBuffer(shard=index)
-        buffer.extend(shard.monitor_events)
-        buffers.append(buffer)
-    bus = TelemetryBus(run_id="s7")
-    replayed = replay_sharded(buffers, bus)
-    assert replayed == len(serial.monitor_events)
-    assert tuple(bus.events) == serial.monitor_events
-
-
-def test_shard_buffer_rebases_local_run_indices():
-    _, _, simulator = three_tank_simulator()
-    monitor = MonitorConfig(window=3)
-    serial = simulator.run_batch(10, 30, monitor=monitor)
-    # Simulate a worker reporting *local* indices: run the slice with
-    # run_offset 0 and let the buffer rebase instead.
-    children = np.random.SeedSequence(simulator.seed).spawn(10)
-    local = simulator.run_slice(children[4:10], 30, monitor)
-    buffer = ShardEventBuffer(shard=1, run_offset=4)
-    buffer.extend(local.monitor_events)
-    expected = tuple(
-        event for event in serial.monitor_events if event.run >= 4
-    )
-    assert tuple(buffer.events) == expected
-
-
-def test_sharded_executor_feeds_telemetry_bus():
-    bus = TelemetryBus(run_id="s7")
-    _, _, simulator = three_tank_simulator(
-        executor=ShardedExecutor(3, telemetry=bus)
-    )
-    result = simulator.run_batch(
-        10, 30, monitor=MonitorConfig(window=3)
-    )
-    assert tuple(bus.events) == result.monitor_events
+@pytest.mark.parametrize(
+    "executor",
+    [ShardedExecutor(3), ShardedExecutor(3, processes=False)],
+    ids=["processes", "inline"],
+)
+def test_shard_spans_are_stamped_in_run_order(executor):
+    executor.trace_context = TraceContext("t" * 16, "job-1")
+    _, _, simulator = three_tank_simulator(executor=executor)
+    result = simulator.run_range(5, 14, 10)
+    assert result.runs == 9
+    spans = executor.shard_spans
+    assert [span["shard"] for span in spans] == [0, 1, 2]
+    assert [span["attempt"] for span in spans] == [0, 0, 0]
+    assert [(span["run_start"], span["run_stop"]) for span in spans] == [
+        (5, 8), (8, 11), (11, 14),
+    ]
+    assert {span["trace_id"] for span in spans} == {"t" * 16}
+    assert {span["job_id"] for span in spans} == {"job-1"}

@@ -656,7 +656,7 @@ def test_batch_monitor_events_match_scalar_monitor():
             faults=BernoulliFaults(arch),
             actuator_communicators=ACTUATORS,
             seed=np.random.default_rng(child),
-            monitor=monitor,
+            sinks=(monitor,),
         ).run(iterations)
         expected = [
             {**e.to_dict(), "run": k} for e in monitor.events

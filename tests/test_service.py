@@ -91,6 +91,25 @@ def test_submit_rejects_malformed_documents():
         service.submit(simulate_document(jobs=0))
     with pytest.raises(ServiceError):
         service.submit(simulate_document(seed="abc"))
+    # JSON true is not the int 1, and "false" is not a bool.
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(runs=True))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(iterations=True))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(jobs=True))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(seed=True))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(bernoulli="false"))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(monitor_window="abc"))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(monitor_window=0))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(slack="x"))
+    with pytest.raises(ServiceError):
+        service.submit(simulate_document(slack=True))
     document = simulate_document()
     del document["impl"]
     with pytest.raises(ServiceError):

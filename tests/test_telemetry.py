@@ -59,7 +59,6 @@ from repro.telemetry import (
     NullProfiler,
     NullSink,
     StageProfiler,
-    TelemetryBus,
     TraceEvent,
     Tracer,
     derive_run_id,
@@ -340,7 +339,7 @@ def test_batch_results_identical_with_and_without_profiler():
 
 
 def test_resilient_results_identical_with_and_without_telemetry():
-    def run(telemetry):
+    def run(sinks):
         return ResilientSimulator(
             bound_spec(),
             three_tank_architecture(),
@@ -354,18 +353,23 @@ def test_resilient_results_identical_with_and_without_telemetry():
             faults=ScriptedFaults(host_outages={"h2": [(5000, None)]}),
             actuator_communicators=ACTUATORS,
             seed=7,
-            telemetry=telemetry,
+            sinks=sinks,
         ).run(30)
 
-    bus = TelemetryBus(run_id="s7", sinks=(Tracer(), MetricsSink()))
-    plain = run(None)
-    observed = run(bus)
+    received = []
+
+    class Probe(InstrumentationSink):
+        def on_event(self, event):
+            received.append(event)
+
+    plain = run(())
+    observed = run((Tracer(), MetricsSink(), Probe()))
     assert plain.values == observed.values
     assert [e.to_dict() for e in plain.events] == [
         e.to_dict() for e in observed.events
     ]
-    # The bus saw the same correlated stream.
-    assert [e.to_dict() for e in bus] == [
+    # The sinks saw the same correlated stream, live.
+    assert [e.to_dict() for e in received] == [
         e.to_dict() for e in plain.events
     ]
 
@@ -645,29 +649,6 @@ def test_null_profiler_is_inert_and_shared():
 
 
 # ----------------------------------------------------------------------
-# Telemetry bus.
-# ----------------------------------------------------------------------
-
-
-def test_bus_fans_events_to_sinks():
-    received = []
-
-    class Probe(InstrumentationSink):
-        def on_event(self, event):
-            received.append(event.kind)
-
-    bus = TelemetryBus(run_id="s1", sinks=(Probe(),))
-    events = sample_events()
-    bus.append(events[0])
-    bus.extend(events[1:3])
-    bus.record_events(events[3:])
-    assert len(bus) == len(events)
-    assert [e.kind for e in bus] == [e.kind for e in events]
-    assert received == [e.kind for e in events]
-    assert len(bus.engine_sinks()) == 1
-
-
-# ----------------------------------------------------------------------
 # Trace files and the summarizer.
 # ----------------------------------------------------------------------
 
@@ -906,11 +887,11 @@ def test_null_sink_accepts_sensor_outcome():
 
 
 # ----------------------------------------------------------------------
-# Merged event streams on the bus (ISSUE 5 satellite).
+# Merged event streams on the sinks.
 # ----------------------------------------------------------------------
 
 
-def resilient_unplug_run(telemetry=None, seed=7, iterations=30):
+def resilient_unplug_run(sinks=(), seed=7, iterations=30):
     return ResilientSimulator(
         bound_spec(),
         three_tank_architecture(),
@@ -921,15 +902,16 @@ def resilient_unplug_run(telemetry=None, seed=7, iterations=30):
         faults=ScriptedFaults(host_outages={"h2": [(5000, None)]}),
         actuator_communicators=ACTUATORS,
         seed=seed,
-        telemetry=telemetry,
+        sinks=sinks,
     ).run(iterations)
 
 
 def test_bus_merges_streams_with_monotonic_seq():
+    """Sinks and ``result.events`` see one merged, stamped stream."""
     tracer = Tracer(run_id="s7", clock=fixed_clock())
-    bus = TelemetryBus(run_id="s7", sinks=(tracer, MetricsSink()))
-    resilient_unplug_run(telemetry=bus)
-    events = list(bus)
+    events = list(
+        resilient_unplug_run(sinks=(tracer, MetricsSink())).events
+    )
     assert events
     # Monitor and watchdog streams merged: more than one kind.
     assert len({e.kind for e in events}) > 1
@@ -947,9 +929,7 @@ def test_bus_merges_streams_with_monotonic_seq():
 
 
 def test_merged_stream_ordering_survives_jsonl_round_trip():
-    bus = TelemetryBus(run_id="s7", sinks=())
-    resilient_unplug_run(telemetry=bus)
-    events = list(bus)
+    events = list(resilient_unplug_run().events)
     parsed = events_from_jsonl(events_to_jsonl(events))
     assert parsed == events
     # Emission order IS (run_id, seq) order: a stable re-sort of the

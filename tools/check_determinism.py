@@ -28,10 +28,9 @@ in:
 * **Stray per-run seed derivation** — per-run seed children
   (``SeedSequence(..., spawn_key=...)`` and any ``.spawn(...)`` call)
   may be built only where the seed contract lives:
-  ``runtime/batch.py`` (``BatchSimulator.run_range``, the batch
-  path's one derivation point) and ``resilience/executive.py`` (the
-  per-run resilient loop).  Everything else asks ``run_range`` for a
-  run range, so a change of contract touches one place.
+  ``runtime/batch.py`` (``run_seeds``, the one derivation point).
+  Everything else asks ``run_seeds`` or ``BatchSimulator.run_range``
+  for a run range, so a change of contract touches one place.
 
 Run it directly (CI does)::
 
@@ -75,13 +74,9 @@ CLOCK_ALLOWLIST = frozenset(
 )
 
 #: Files (relative to the scan root) that may build per-run seed
-#: children.  Keep this list at the places that define the contract.
-SEED_DERIVATION_ALLOWLIST = frozenset(
-    {
-        "runtime/batch.py",
-        "resilience/executive.py",
-    }
-)
+#: children: only the module of ``run_seeds``, the one place that
+#: defines the contract.
+SEED_DERIVATION_ALLOWLIST = frozenset({"runtime/batch.py"})
 
 #: Module-level ``numpy.random`` attributes that may be *called*:
 #: explicitly seeded constructors and generator classes.
