@@ -12,6 +12,11 @@ checks the ``SeedSequence.spawn`` contract (batch run 0 is
 count-identical to the scalar simulator seeded with spawn child 0),
 and records the speedup.  The acceptance floor is 20x; the measured
 ratio on a stock container is a few hundred.
+
+A second bench profiles the wide 3TS batch (10k runs x 100
+iterations) and asserts that the executor's stages — seed derivation
+through reduce — account for at least 90 % of its wall time, so a
+slow layer cannot hide outside every stage.
 """
 
 import time
@@ -20,17 +25,23 @@ import numpy as np
 
 from repro.experiments import (
     ACTUATORS,
+    baseline_implementation,
     bind_control_functions,
     scenario1_implementation,
     three_tank_architecture,
     three_tank_spec,
 )
 from repro.runtime import BatchSimulator, BernoulliFaults, Simulator
+from repro.telemetry.profiler import StageProfiler
 
 RUNS = 16
 ITERATIONS = 1250  # x RUNS = 20000 simulated hyperperiods
 SCALAR_ITERATIONS = 2000  # scalar reference sample (throughput basis)
 SPEEDUP_FLOOR = 20.0
+WIDE_RUNS = 10_000
+WIDE_ITERATIONS = 100
+WIDE_CALLS = 3
+COVERAGE_FLOOR = 0.9
 
 
 def test_bench_batch_montecarlo(benchmark, report, bench_scale):
@@ -103,4 +114,43 @@ def test_bench_batch_montecarlo(benchmark, report, bench_scale):
             ("seed contract (run 0 == scalar)", "bit-identical",
              "yes"),
         ],
+    )
+
+
+def test_bench_batch_stage_coverage(report, bench_scale):
+    arch = three_tank_architecture()
+    profiler = StageProfiler()
+    simulator = BatchSimulator(
+        three_tank_spec(), arch, baseline_implementation(),
+        faults=BernoulliFaults(arch), profiler=profiler,
+    )
+    runs = bench_scale(WIDE_RUNS)
+    simulator.run_batch(runs, WIDE_ITERATIONS, seed=0)  # warm-up
+    profiler.reset()
+    start = time.perf_counter()
+    for seed in range(1, WIDE_CALLS + 1):
+        result = simulator.run_batch(runs, WIDE_ITERATIONS, seed=seed)
+    wall = (time.perf_counter() - start) / WIDE_CALLS
+    assert result.executor == "vectorized"
+    stages = {
+        stat.name: stat.total_seconds / WIDE_CALLS
+        for stat in profiler.stats()
+    }
+    coverage = sum(stages.values()) / wall
+
+    if bench_scale.full:
+        assert coverage >= COVERAGE_FLOOR
+
+    report(
+        f"batch executor — stage coverage of a {runs} x "
+        f"{WIDE_ITERATIONS} 3TS batch",
+        [("wall per call (ms)", "(measured)", f"{1e3 * wall:.1f}")]
+        + [
+            (f"stage {name} (ms)", "", f"{1e3 * seconds:.1f}")
+            for name, seconds in stages.items()
+        ]
+        + [(
+            "coverage (stages / wall)", f">= {COVERAGE_FLOOR}",
+            f"{coverage:.3f}",
+        )],
     )

@@ -12,8 +12,8 @@ fault draws, the same detection instants, the same recovery, and the
 same event stream, run after run.
 
 ``resilient_batch`` loops the executive over the per-run seed
-children of :func:`~repro.runtime.batch.run_seeds` — the same children
-the batch executor uses — so run ``k`` of a resilient batch is
+children of :func:`~repro.runtime.batch.run_seeds` — the streams the
+batch executor derives in bulk — so run ``k`` of a resilient batch is
 bit-identical to a directly constructed :class:`ResilientSimulator`
 seeded with child ``k``, events included.
 
@@ -539,8 +539,9 @@ def resilient_batch(
     Recovery decisions depend on each run's own fault draws, so the
     detect→decide→recover loop is inherently per-run; this helper
     preserves the batch seed contract by looping the scalar resilient
-    executive over the same :func:`~repro.runtime.batch.run_seeds`
-    children the vectorized executor uses.  Run ``k`` (counts and
+    executive over the :func:`~repro.runtime.batch.run_seeds`
+    children, whose streams the vectorized executor derives in bulk
+    (:func:`~repro.runtime.batch.run_streams`).  Run ``k`` (counts and
     events alike) is bit-identical to ``ResilientSimulator(...,
     seed=np.random.default_rng(children[k]))``.
     """

@@ -32,7 +32,7 @@ from repro.runtime.environment import (
 )
 from repro.runtime.plan import SimulationPlan, compile_plan
 from repro.runtime.engine import SimulationResult, Simulator
-from repro.runtime.batch import BatchResult, BatchSimulator
+from repro.runtime.batch import BatchResult, BatchSimulator, RunRange
 from repro.runtime.executor import (
     BatchExecutor,
     SerialExecutor,
@@ -60,6 +60,7 @@ __all__ = [
     "GilbertElliottFaults",
     "NoFaults",
     "PrecomputedFaults",
+    "RunRange",
     "ScriptedFaults",
     "SerialExecutor",
     "ShardedExecutor",

@@ -19,21 +19,31 @@ any ``runs > k``.  A batch run is bit-identical to a scalar
 simulation seeded with that generator; the differential test suite
 holds the two executors to exactly this.
 
-:func:`run_seeds` is the single place that builds those children.
 :meth:`BatchSimulator.run_range` simulates the global runs
-``[start, stop)`` over them: ``run_batch`` is ``run_range(0, runs)``,
-the adaptive driver runs one range per checkpoint chunk, and the
-service simulates cache tails the same way.
-:func:`~repro.resilience.executive.resilient_batch` loops its scalar
-executive over the same children (the determinism lint keeps
-per-run children out of every other module).  Because run ``k`` does
-not depend on the batch size, any *contiguous slice* of a batch can
-be computed in isolation: :meth:`BatchSimulator.run_slice` executes
-an explicit child list, and the pluggable executors of
-:mod:`repro.runtime.executor` exploit that to shard one batch across
-worker processes with bit-identical results
-(``SerialExecutor`` / ``ShardedExecutor`` /
-``merge_batch_results``).
+``[start, stop)`` as one :class:`RunRange` (seed, start, stop):
+``run_batch`` is ``run_range(0, runs)``, the adaptive driver runs one
+range per checkpoint chunk, and the service simulates cache tails the
+same way.  Because run ``k`` does not depend on the batch size, any
+*contiguous slice* of a batch can be computed in isolation:
+:meth:`BatchSimulator.run_slice` executes one range, and the pluggable
+executors of :mod:`repro.runtime.executor` exploit that to shard one
+batch across worker processes with bit-identical results
+(``SerialExecutor`` / ``ShardedExecutor`` / ``merge_batch_results``).
+
+This module is the one place that derives per-run seeds (the
+determinism lint keeps them out of every other module), in two forms
+that draw the same numbers:
+
+* :func:`run_streams` serves the vectorized path.  It ports numpy's
+  spawn-key hashing and PCG64 seeding to array arithmetic over ``k``
+  and hands out cursors over one shared generator, so a 10k-run slice
+  costs no per-run ``SeedSequence`` or ``Generator`` object.  It
+  covers the first :data:`MAX_STREAM_RUNS` runs (one-word spawn keys).
+* :func:`run_seeds` builds the real ``SeedSequence`` children for the
+  scalar paths — the fallback below and
+  :func:`~repro.resilience.executive.resilient_batch` — which need
+  real generators and :func:`~repro.telemetry.runid.derive_run_id`
+  ids.
 
 Fallback rules
 --------------
@@ -44,15 +54,17 @@ don't), and (b) a specification whose communicator cycles, if any,
 are broken by independent-model tasks (otherwise reliability
 propagation is a genuine per-iteration recurrence).  When either
 fails, :meth:`run_batch` transparently loops the scalar simulator
-over the same spawned seeds — same counts, scalar speed — which
-additionally requires task functions to be bound.
+over the :func:`run_seeds` children — same counts, scalar speed —
+which additionally requires task functions to be bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -214,12 +226,249 @@ def run_seeds(
     Run ``k`` gets ``SeedSequence(seed, spawn_key=(k,))`` — child
     ``k`` of ``SeedSequence(seed).spawn(n)`` for any ``n > k``, with
     the same draws and the same
-    :func:`~repro.telemetry.runid.derive_run_id`.
+    :func:`~repro.telemetry.runid.derive_run_id`.  The scalar paths
+    (the batch fallback and ``resilient_batch``) seed real generators
+    from these; the vectorized path uses :func:`run_streams`.
     """
     return [
         np.random.SeedSequence(seed, spawn_key=(k,))
         for k in range(start, stop)
     ]
+
+
+#: Runs ``[0, MAX_STREAM_RUNS)`` have a one-word spawn key, the only
+#: case :func:`run_streams` ports.
+MAX_STREAM_RUNS = 1 << 32
+
+# numpy's SeedSequence hash constants (``numpy/random/bit_generator.pyx``)
+# and PCG64's 128-bit LCG multiplier (``pcg64.h``).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash(value, const: int, mult: int):
+    """One SeedSequence hash step: ``(hashed value, next constant)``.
+
+    *value* is a Python int or a uint64 array of uint32 words; the
+    constant sequence does not depend on the values hashed.
+    """
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x, y):
+    """SeedSequence's pool-word mixing function (uint32 arithmetic)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _stream_keys(entropy: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of runs ``[start, stop)`` as ``(n, 4)`` uint64.
+
+    Row ``k - start`` equals
+    ``SeedSequence(entropy, spawn_key=(k,)).generate_state(4, np.uint64)``:
+    the pool mixed from the seed words is common to every run, so only
+    the spawn-key word and the output hash are computed per run, as
+    array arithmetic over ``k``.
+    """
+    words = []
+    while True:
+        words.append(entropy & _MASK32)
+        entropy >>= 32
+        if not entropy:
+            break
+    # A spawned sequence pads its run entropy to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    keys = np.arange(start, stop, dtype=np.uint64)
+    for word in words[_POOL_SIZE:] + [keys]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        hashed, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
+        state.append(hashed)
+    return np.stack(
+        [state[2 * j] | (state[2 * j + 1] << 32) for j in range(_POOL_SIZE)],
+        axis=1,
+    )
+
+
+def _pcg64_states(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64's ``srandom`` seeding of every row of *keys*.
+
+    Returns the runs' 128-bit ``(states, incs)`` as Python ints —
+    plain lists, so deriving 10k runs allocates no container per run.
+    """
+    s_hi, s_lo, i_hi, i_lo = (column.tolist() for column in keys.T)
+    incs = [
+        ((((hi << 64) | lo) << 1) | 1) & _MASK128
+        for hi, lo in zip(i_hi, i_lo)
+    ]
+    states = [
+        (((inc + ((hi << 64) | lo)) & _MASK128) * _PCG64_MULTIPLIER + inc)
+        & _MASK128
+        for inc, hi, lo in zip(incs, s_hi, s_lo)
+    ]
+    return states, incs
+
+
+@dataclass(frozen=True)
+class RunRange:
+    """Global runs ``[start, stop)`` of the batch seeded with *seed*.
+
+    The small picklable unit of work executors hand to
+    :meth:`BatchSimulator.run_slice`: a worker derives the runs'
+    generators itself (:func:`run_streams`), and monitor events carry
+    the global run indices.  *seed* is resolved entropy (an int), so
+    every shard of one batch derives from the same seed.
+    """
+
+    seed: int
+    start: int
+    stop: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.start <= self.stop:
+            raise RuntimeSimulationError(
+                f"run range [{self.start}, {self.stop}) is negative or "
+                f"reversed"
+            )
+        if self.stop > MAX_STREAM_RUNS:
+            raise RuntimeSimulationError(
+                f"run range [{self.start}, {self.stop}) passes "
+                f"{MAX_STREAM_RUNS} runs, the one-word spawn-key limit "
+                f"of the batch path"
+            )
+
+    @classmethod
+    def of(cls, seed: "int | None", start: int, stop: int) -> "RunRange":
+        """The range of *seed*'s batch, with *seed* resolved to entropy."""
+        return cls(int(np.random.SeedSequence(seed).entropy), start, stop)
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def sub(self, start: int, stop: int) -> "RunRange":
+        """Local runs ``[start, stop)`` of this range, as a range."""
+        return RunRange(self.seed, self.start + start, self.start + stop)
+
+
+class _RunStream:
+    """Run ``k``'s generator: a cursor over its sequence's shared one.
+
+    Every ``numpy.random.Generator`` method is available and draws
+    exactly what ``default_rng(SeedSequence(seed, spawn_key=(k,)))``
+    would draw, however calls to different runs interleave.  The
+    run's position lives in the sequence, so every cursor of run
+    ``k`` continues the same stream.
+    """
+
+    __slots__ = ("_streams", "_index")
+
+    def __init__(self, streams: "_RunStreams", index: int) -> None:
+        self._streams = streams
+        self._index = index
+
+    def random(self, *args, **kwargs):
+        return self._streams._take(self._index).random(*args, **kwargs)
+
+    def __getattr__(self, name: str):
+        method = getattr(np.random.Generator, name, None)
+        if name.startswith("_") or name == "spawn" or not callable(method):
+            raise AttributeError(
+                f"run streams expose Generator draw methods only, "
+                f"not {name!r}"
+            )
+
+        def draw(*args, **kwargs):
+            generator = self._streams._take(self._index)
+            return getattr(generator, name)(*args, **kwargs)
+
+        return draw
+
+
+class _RunStreams(Sequence):
+    """The generators of runs ``[start, stop)`` (see :func:`run_streams`)."""
+
+    def __init__(self, runs: RunRange) -> None:
+        # Per-run PCG64 positions: the seeded state until the run
+        # first hands the shared generator on, then its saved state.
+        self._states, self._incs = _pcg64_states(
+            _stream_keys(runs.seed, runs.start, runs.stop)
+        )
+        self._has_uint32 = [0] * len(runs)
+        self._uinteger = [0] * len(runs)
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._active = -1
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index: int) -> _RunStream:
+        return _RunStream(self, range(len(self))[operator.index(index)])
+
+    def _take(self, index: int) -> np.random.Generator:
+        """Hand the shared generator to run *index*, at its position."""
+        active = self._active
+        if active != index:
+            bit_generator = self._bit_generator
+            if active >= 0:
+                saved = bit_generator.state
+                self._states[active] = saved["state"]["state"]
+                self._has_uint32[active] = saved["has_uint32"]
+                self._uinteger[active] = saved["uinteger"]
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": self._states[index],
+                    "inc": self._incs[index],
+                },
+                "has_uint32": self._has_uint32[index],
+                "uinteger": self._uinteger[index],
+            }
+            self._active = index
+        return self._generator
+
+
+def run_streams(
+    seed: "int | None", start: int, stop: int
+) -> "Sequence[np.random.Generator]":
+    """The generators of runs ``[start, stop)``, derived in bulk.
+
+    Item ``k`` draws exactly what
+    ``np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=(start + k,)))`` draws, from any ``Generator`` method,
+    but costs no per-run ``SeedSequence`` or generator object: the
+    spawn-key hashing is array arithmetic over ``k`` and the items are
+    cursors that take turns on one ``PCG64``.  Raises
+    :class:`~repro.errors.RuntimeSimulationError` past
+    :data:`MAX_STREAM_RUNS` runs.
+    """
+    return _RunStreams(RunRange.of(seed, start, stop))
 
 
 class BatchSimulator:
@@ -243,10 +492,11 @@ class BatchSimulator:
         it.
     profiler:
         :class:`~repro.telemetry.profiler.StageProfiler` timing the
-        executor's phases (``plan-compile``, ``fault-precompute``,
-        ``status-collapse``, ``propagate``, ``reduce``, ``monitor``,
-        ``scalar-fallback``).  Defaults to the null profiler, whose
-        per-stage cost is one no-op context manager.
+        executor's phases (``plan-compile``, ``seed-derivation``,
+        ``fault-precompute``, ``status-collapse``, ``propagate``,
+        ``reduce``, ``monitor``, ``scalar-fallback``).  Defaults to
+        the null profiler, whose per-stage cost is one no-op context
+        manager.
     executor:
         :class:`~repro.runtime.executor.BatchExecutor` strategy
         :meth:`run_batch` delegates to.  Defaults to the in-process
@@ -321,12 +571,14 @@ class BatchSimulator:
     ) -> BatchResult:
         """Simulate the global runs ``[start, stop)`` of *seed*'s batch.
 
-        Run ``k`` is seeded by :func:`run_seeds`.  The result is
-        bit-identical to runs ``start..stop-1`` of
-        ``run_batch(stop, ...)`` — counts, and monitor events tagged
-        with global run indices — so it merges onto a cached or
-        already-simulated prefix with
-        :func:`~repro.runtime.executor.merge_batch_results`.
+        Run ``k`` draws from child ``k`` of *seed* (see the module
+        docstring).  The result is bit-identical to runs
+        ``start..stop-1`` of ``run_batch(stop, ...)`` — counts, and
+        monitor events tagged with global run indices — so it merges
+        onto a cached or already-simulated prefix with
+        :func:`~repro.runtime.executor.merge_batch_results`.  Raises
+        :class:`~repro.errors.RuntimeSimulationError` past
+        :data:`MAX_STREAM_RUNS` runs.
         """
         if not 0 <= start < stop:
             raise RuntimeSimulationError(
@@ -336,16 +588,8 @@ class BatchSimulator:
             raise RuntimeSimulationError(
                 f"iterations must be positive, got {iterations}"
             )
-        children = run_seeds(
-            self.seed if seed is None else seed, start, stop
-        )
-        # run_offset is keyword-only on the executor protocol and is
-        # forwarded only mid-sequence, so positional-only executors
-        # still run whole batches.
-        extra = {"run_offset": start} if start else {}
-        return self.executor.execute(
-            self, children, iterations, monitor, **extra
-        )
+        runs = RunRange.of(self.seed if seed is None else seed, start, stop)
+        return self.executor.execute(self, runs, iterations, monitor)
 
     def run_adaptive(
         self,
@@ -404,39 +648,37 @@ class BatchSimulator:
 
     def run_slice(
         self,
-        children: "Sequence[np.random.SeedSequence]",
+        runs: RunRange,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        run_offset: int = 0,
     ) -> BatchResult:
-        """Execute an explicit list of spawned per-run seeds.
+        """Execute the global runs of one :class:`RunRange`.
 
-        The slice primitive beneath every executor: *children* are the
-        spawn-key children owning batch run indices ``run_offset``,
-        ``run_offset + 1``, ...; monitor events are tagged with those
-        *global* indices, so disjoint slices of one batch merge (via
+        The slice primitive beneath every executor: it derives the
+        runs' generators itself (:func:`run_streams`), and tags
+        monitor events with the *global* run indices, so disjoint
+        slices of one batch merge (via
         :func:`~repro.runtime.executor.merge_batch_results`) into
         exactly the unsharded result.
         """
-        runs = len(children)
-        if runs == 0:
+        count = len(runs)
+        if count == 0:
             return self._empty_result(iterations)
         masks: PrecomputedFaults | None = None
         if self.plan.batch_order is not None:
-            rngs = [np.random.default_rng(child) for child in children]
+            with self.profiler.stage("seed-derivation"):
+                rngs = run_streams(runs.seed, runs.start, runs.stop)
             with self.profiler.stage("fault-precompute"):
                 masks = self.faults.precompute(
-                    self.plan, runs, iterations, rngs
+                    self.plan, count, iterations, rngs
                 )
         if masks is None:
             # A declining precompute may have consumed draws; the
-            # fallback rebuilds every generator from its spawn key.
+            # fallback seeds fresh generators from run_seeds.
             with self.profiler.stage("scalar-fallback"):
-                return self._run_scalar(
-                    children, iterations, monitor, run_offset
-                )
+                return self._run_scalar(runs, iterations, monitor)
         return self._run_vectorized(
-            masks, runs, iterations, monitor, run_offset
+            masks, count, iterations, monitor, runs.start
         )
 
     def _empty_result(self, iterations: int) -> BatchResult:
@@ -464,7 +706,7 @@ class BatchSimulator:
         runs: int,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        run_offset: int = 0,
+        first_run: int = 0,
     ) -> BatchResult:
         plan = self.plan
         profiler = self.profiler
@@ -564,7 +806,7 @@ class BatchSimulator:
             with profiler.stage("monitor"):
                 monitor_events = self._monitor_events(
                     monitor, task_ok, delivered, runs, iterations,
-                    run_offset,
+                    first_run,
                 )
         return BatchResult(
             spec=self.spec,
@@ -722,7 +964,7 @@ class BatchSimulator:
         delivered: Sequence[np.ndarray],
         runs: int,
         iterations: int,
-        run_offset: int = 0,
+        first_run: int = 0,
     ) -> "tuple[ResilienceEvent, ...]":
         """Vectorized online-monitor pass over the whole batch.
 
@@ -754,9 +996,9 @@ class BatchSimulator:
         # them: communicators in specification declaration order.
         order = {name: i for i, name in enumerate(self.spec.communicators)}
         events.sort(key=lambda e: (e.run, e.time, order[e.communicator]))
-        if run_offset:
+        if first_run:
             events = [
-                dataclasses.replace(event, run=event.run + run_offset)
+                dataclasses.replace(event, run=event.run + first_run)
                 for event in events
             ]
         return tuple(events)
@@ -792,17 +1034,16 @@ class BatchSimulator:
 
     def _run_scalar(
         self,
-        children: Sequence[np.random.SeedSequence],
+        runs: RunRange,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        run_offset: int = 0,
     ) -> BatchResult:
         """Loop the scalar reference executor over the spawned seeds."""
         from repro.runtime.engine import Simulator
 
-        runs = len(children)
+        children = run_seeds(runs.seed, runs.start, runs.stop)
         counts = {
-            name: np.zeros(runs, dtype=np.int64)
+            name: np.zeros(len(runs), dtype=np.int64)
             for name in self.spec.communicators
         }
         samples: dict[str, int] = {}
@@ -833,12 +1074,12 @@ class BatchSimulator:
                 samples[name] = len(trace)
             if run_monitor is not None:
                 monitor_events.extend(
-                    dataclasses.replace(event, run=k + run_offset)
+                    dataclasses.replace(event, run=runs.start + k)
                     for event in run_monitor.events
                 )
         return BatchResult(
             spec=self.spec,
-            runs=runs,
+            runs=len(runs),
             iterations=iterations,
             reliable_counts=counts,
             samples_per_run=samples,

@@ -1,27 +1,27 @@
 """Pluggable batch executors: serial reference and sharded fan-out.
 
-PR 7 extracts the execution *strategy* out of
+The execution *strategy* lives outside
 :class:`~repro.runtime.batch.BatchSimulator`:
-:meth:`~repro.runtime.batch.BatchSimulator.run_range` builds the
-per-run seed-sequence children (through
-:func:`~repro.runtime.batch.run_seeds`, the one seed-derivation
-point) and delegates to a :class:`BatchExecutor`.
+:meth:`~repro.runtime.batch.BatchSimulator.run_range` describes the
+runs as one :class:`~repro.runtime.batch.RunRange` (seed, start,
+stop) and delegates to a :class:`BatchExecutor`.
 
 * :class:`SerialExecutor` is the in-process reference: one
   :meth:`~repro.runtime.batch.BatchSimulator.run_slice` call over the
-  whole child list — byte-for-byte the pre-refactor behaviour.
-* :class:`ShardedExecutor` partitions the children into contiguous
+  whole range.
+* :class:`ShardedExecutor` partitions the range into contiguous
   per-worker shards (:func:`shard_slices`) and executes them in
-  forked worker processes.  The ``SeedSequence.spawn`` contract makes
-  this safe: spawn keys partition deterministically, every injector's
-  ``precompute`` consumes randomness strictly per run, and every
-  count/monitor derivation in the vectorized kernel is per-run along
-  axis 0 — so a shard computes exactly its slice of the unsharded
-  tensors, and :func:`merge_batch_results` reassembles the
-  bit-identical whole (pooled counts, per-run arrays in run order,
-  monitor-event streams re-sequenced by run index).  The differential
-  suite in ``tests/test_executor.py`` holds sharded output to exact
-  equality with serial output over Hypothesis-generated systems.
+  forked worker processes, each deriving its own runs' generators.
+  The spawn-key contract makes this safe: run ``k``'s stream depends
+  only on the seed and ``k``, every injector's ``precompute``
+  consumes randomness strictly per run, and every count/monitor
+  derivation in the vectorized kernel is per-run along axis 0 — so a
+  shard computes exactly its slice of the unsharded tensors, and
+  :func:`merge_batch_results` reassembles the bit-identical whole
+  (pooled counts, per-run arrays in run order, monitor-event streams
+  re-sequenced by run index).  The differential suite in
+  ``tests/test_executor.py`` holds sharded output to exact equality
+  with serial output over Hypothesis-generated systems.
 
 Workers ship a reduced picklable payload (count arrays + monitor
 events) back over a pipe; the specification — which may hold
@@ -36,7 +36,7 @@ worker *hang* (an optional per-shard deadline), and re-executes only
 the failed shard under a :class:`RetryPolicy` (capped exponential
 backoff plus deterministic jitter).  A retried shard is bit-identical
 to its first execution by construction: its work is fully determined
-by its slice of the spawned children (asserted differentially in
+by its run range (asserted differentially in
 ``tests/test_supervision.py``).  Every retry surfaces as a typed
 :class:`ShardRetryEvent`.  :class:`ChaosAction` / :class:`WorkerFaults`
 are the fault-injection surface the :mod:`repro.chaos` harness drives;
@@ -71,7 +71,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import RuntimeSimulationError
-from repro.runtime.batch import BatchResult
+from repro.runtime.batch import BatchResult, RunRange
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.monitor import MonitorConfig
@@ -80,31 +80,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @runtime_checkable
 class BatchExecutor(Protocol):
-    """Strategy that executes one batch over spawned per-run seeds.
+    """Strategy that executes one contiguous range of a batch's runs.
 
-    *children* are the spawn-key children of a contiguous run range,
-    built by :meth:`~repro.runtime.batch.BatchSimulator.run_range`;
-    the executor owns how (and where) the per-run work happens but
-    must return exactly the result of
-    ``simulator.run_slice(children, iterations, monitor, run_offset)``
+    *runs* is the :class:`~repro.runtime.batch.RunRange` built by
+    :meth:`~repro.runtime.batch.BatchSimulator.run_range` (a cache
+    tail or an adaptive chunk starts mid-sequence).  The executor owns
+    how (and where) the per-run work happens but must return exactly
+    the result of ``simulator.run_slice(runs, iterations, monitor)``
     — the bit-identity contract every implementation is tested
     against.
-
-    ``run_offset`` is the global run index of ``children[0]`` (nonzero
-    for a cache tail or an adaptive chunk).  It is keyword-only and
-    forwarded only when nonzero, so minimal executors (tests,
-    third-party strategies) that accept the positional form keep
-    working for whole batches.
     """
 
     def execute(
         self,
         simulator: "BatchSimulator",
-        children: "Sequence[np.random.SeedSequence]",
+        runs: RunRange,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        *,
-        run_offset: int = 0,
     ) -> BatchResult:
         ...
 
@@ -137,9 +129,9 @@ def merge_batch_results(
 
     *shards* must be the slices of one batch in run order, each
     produced by :meth:`~repro.runtime.batch.BatchSimulator.run_slice`
-    with its global ``run_offset`` (so monitor events already carry
-    global run indices).  Per-run count arrays are concatenated in
-    run order, pooled statistics follow from them, and the merged
+    (so monitor events already carry global run indices).  Per-run
+    count arrays are concatenated in run order, pooled statistics
+    follow from them, and the merged
     monitor-event stream is re-sequenced by run index (within a run,
     shard emission order — the scalar emission order — is preserved).
     Zero-run shards are legal and contribute nothing.
@@ -198,8 +190,8 @@ def merge_batch_results(
 def slice_batch_result(result: BatchResult, runs: int) -> BatchResult:
     """Prefix-slice a batch result down to its first *runs* runs.
 
-    Under the spawn contract the first *runs* children of a larger
-    batch are exactly the children of a ``runs``-sized batch, so the
+    Under the spawn contract the first *runs* runs of a larger batch
+    are exactly the runs of a ``runs``-sized batch, so the
     slice is bit-identical to re-simulating at the smaller size —
     which is what lets the service answer shrunk ``runs`` queries
     from cache without simulating.
@@ -236,15 +228,11 @@ class SerialExecutor:
     def execute(
         self,
         simulator: "BatchSimulator",
-        children: "Sequence[np.random.SeedSequence]",
+        runs: RunRange,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        *,
-        run_offset: int = 0,
     ) -> BatchResult:
-        return simulator.run_slice(
-            children, iterations, monitor, run_offset=run_offset
-        )
+        return simulator.run_slice(runs, iterations, monitor)
 
 
 @dataclass
@@ -399,8 +387,7 @@ def _unit_noise(shard: int, attempt: int) -> float:
 
 
 def _supervised_worker(
-    simulator, children, iterations, monitor, offset, conn, action,
-    trace=None,
+    simulator, runs, iterations, monitor, conn, action, trace=None,
 ):
     """Entry point of one forked shard worker.
 
@@ -427,12 +414,8 @@ def _supervised_worker(
                 raise RuntimeSimulationError(
                     "chaos: injected worker error"
                 )
-        with shard_span(
-            trace, offset, offset + len(children)
-        ) as recorder:
-            result = simulator.run_slice(
-                children, iterations, monitor, run_offset=offset,
-            )
+        with shard_span(trace, runs.start, runs.stop) as recorder:
+            result = simulator.run_slice(runs, iterations, monitor)
         conn.send(("ok", _payload_of(result, tuple(recorder.spans))))
     except BaseException as error:  # ship the failure to the parent
         try:
@@ -454,16 +437,10 @@ def _fork_context() -> "Any | None":
 class _ShardState:
     """Supervision bookkeeping of one shard across its attempts."""
 
-    def __init__(
-        self, index: int, start: int, stop: int, offset: int = 0
-    ) -> None:
+    def __init__(self, index: int, runs: RunRange) -> None:
         self.index = index
-        self.start = start
-        self.stop = stop
-        #: Global run index of the whole batch's first run (nonzero
-        #: when the adaptive driver executes a chunk mid-sequence);
-        #: ``offset + start`` is this shard's global first run.
-        self.offset = offset
+        #: The shard's global runs.
+        self.runs = runs
         self.attempt = 0
         self.process: Any = None
         self.conn: Any = None
@@ -571,37 +548,34 @@ class ShardedExecutor:
     def execute(
         self,
         simulator: "BatchSimulator",
-        children: "Sequence[np.random.SeedSequence]",
+        runs: RunRange,
         iterations: int,
         monitor: "MonitorConfig | None" = None,
-        *,
-        run_offset: int = 0,
     ) -> BatchResult:
         self.retry_events = []
         self.shard_spans = []
-        slices = shard_slices(len(children), self.jobs)
-        context = _fork_context() if self.processes else None
-        if not slices:
-            return simulator.run_slice(
-                children, iterations, monitor, run_offset=run_offset
+        states = [
+            _ShardState(index, runs.sub(start, stop))
+            for index, (start, stop) in enumerate(
+                shard_slices(len(runs), self.jobs)
             )
-        span_lists: list[tuple] = []
-        if len(slices) <= 1 or context is None:
-            shards = []
-            for index, (start, stop) in enumerate(slices):
-                result, spans = self._execute_inline(
-                    simulator, children, iterations, monitor,
-                    index, start, stop, run_offset,
-                )
-                shards.append(result)
-                span_lists.append(spans)
+        ]
+        context = _fork_context() if self.processes else None
+        if not states:
+            return simulator.run_slice(runs, iterations, monitor)
+        if len(states) <= 1 or context is None:
+            shards = [
+                self._execute_inline(simulator, iterations, monitor, state)
+                for state in states
+            ]
         else:
-            shards, span_lists = self._supervise(
-                context, simulator, children, iterations, monitor,
-                slices, run_offset,
+            shards = self._supervise(
+                context, simulator, iterations, monitor, states
             )
         # Shards are contiguous, so shard order is run order.
-        self.shard_spans = [span for spans in span_lists for span in spans]
+        self.shard_spans = [
+            span for state in states for span in state.spans
+        ]
         return merge_batch_results(shards)
 
     # -- retry bookkeeping ----------------------------------------------
@@ -616,30 +590,26 @@ class ShardedExecutor:
             reason=reason,
             detail=detail,
             delay_s=delay,
-            run_start=state.offset + state.start,
-            run_stop=state.offset + state.stop,
+            run_start=state.runs.start,
+            run_stop=state.runs.stop,
             noted_at=time.time(),
         )
         self.retry_events.append(event)
 
     def _give_up(self, state: _ShardState, detail: str) -> None:
-        first = state.offset + state.start
-        last = state.offset + state.stop - 1
         raise RuntimeSimulationError(
             f"sharded batch worker failed: shard {state.index} "
-            f"(runs {first}..{last}) failed after "
+            f"(runs {state.runs.start}..{state.runs.stop - 1}) failed after "
             f"{state.attempt + 1} attempt(s): {detail}"
         )
 
     # -- inline path -----------------------------------------------------
 
     def _execute_inline(
-        self, simulator, children, iterations, monitor,
-        index, start, stop, run_offset=0,
-    ) -> tuple[BatchResult, tuple]:
+        self, simulator, iterations, monitor, state: _ShardState,
+    ) -> BatchResult:
         from repro.telemetry.distributed import shard_span
 
-        state = _ShardState(index, start, stop, offset=run_offset)
         while True:
             action = (
                 self.chaos.action(state.index, state.attempt)
@@ -657,14 +627,13 @@ class ShardedExecutor:
                 if action is not None and action.kind == "slow":
                     time.sleep(action.delay_s)
                 with shard_span(
-                    self.trace_context,
-                    run_offset + start, run_offset + stop,
+                    self.trace_context, state.runs.start, state.runs.stop,
                 ) as recorder:
                     result = simulator.run_slice(
-                        children[start:stop], iterations, monitor,
-                        run_offset=run_offset + start,
+                        state.runs, iterations, monitor
                     )
-                return result, _stamped(recorder.spans, state)
+                state.spans = _stamped(recorder.spans, state)
+                return result
             except RuntimeSimulationError as error:
                 if state.attempt >= self.policy.retries:
                     self._give_up(state, str(error))
@@ -678,8 +647,8 @@ class ShardedExecutor:
 
     # -- process path ----------------------------------------------------
 
-    def _launch(self, context, simulator, children, iterations,
-                monitor, state: _ShardState) -> None:
+    def _launch(self, context, simulator, iterations, monitor,
+                state: _ShardState) -> None:
         action = (
             self.chaos.action(state.index, state.attempt)
             if self.chaos is not None else None
@@ -688,8 +657,7 @@ class ShardedExecutor:
         process = context.Process(
             target=_supervised_worker,
             args=(
-                simulator, children[state.start:state.stop],
-                iterations, monitor, state.offset + state.start,
+                simulator, state.runs, iterations, monitor,
                 child_conn, action, self.trace_context,
             ),
         )
@@ -703,20 +671,15 @@ class ShardedExecutor:
         )
 
     def _supervise(
-        self, context, simulator, children, iterations, monitor,
-        slices, run_offset=0,
-    ) -> tuple[list[BatchResult], list[tuple]]:
+        self, context, simulator, iterations, monitor,
+        states: "list[_ShardState]",
+    ) -> list[BatchResult]:
         from multiprocessing.connection import wait as conn_wait
 
-        states = [
-            _ShardState(index, start, stop, offset=run_offset)
-            for index, (start, stop) in enumerate(slices)
-        ]
         try:
             for state in states:
                 self._launch(
-                    context, simulator, children, iterations, monitor,
-                    state,
+                    context, simulator, iterations, monitor, state
                 )
             #: Shards sleeping out a backoff: (wake_at, state).
             parked: list[tuple[float, _ShardState]] = []
@@ -736,8 +699,7 @@ class ShardedExecutor:
                 ]
                 for state in due:
                     self._launch(
-                        context, simulator, children, iterations,
-                        monitor, state,
+                        context, simulator, iterations, monitor, state
                     )
                     active[state.conn] = state
                 # Earliest thing worth waking for: a shard deadline
@@ -798,10 +760,7 @@ class ShardedExecutor:
             for state in states:
                 state.kill()
             raise
-        return (
-            [state.result for state in states],
-            [state.spans for state in states],
-        )
+        return [state.result for state in states]
 
     def _retire(
         self, state: _ShardState, reason: str, detail: str,

@@ -23,9 +23,9 @@ Job document fields (``kind`` selects the pipeline):
 Cache semantics (the PR 7 contract): an identical repeated simulate
 job answers from cache without simulating; a ``runs`` upgrade
 simulates only the tail ``cached.runs..runs-1`` — through
-:meth:`~repro.runtime.batch.BatchSimulator.run_range`, seeded by
-the one seed-derivation point :func:`~repro.runtime.batch.run_seeds`
-— and merges, so the reply is
+:meth:`~repro.runtime.batch.BatchSimulator.run_range`, whose runs
+draw the spawn-key streams of :mod:`repro.runtime.batch`, the one
+seed-derivation point — and merges, so the reply is
 bit-identical to a fresh full batch.  Both facts are asserted through
 the :class:`~repro.service.cache.ServiceMetrics` counters.  Adaptive
 jobs run the same

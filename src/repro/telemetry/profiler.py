@@ -76,8 +76,9 @@ class StageProfiler:
     """Accumulates wall-clock time per named stage.
 
     Stage names are free-form; the batch executor uses
-    ``plan-compile``, ``fault-precompute``, ``status-collapse``,
-    ``propagate``, ``reduce``, ``monitor`` and ``scalar-fallback``.
+    ``plan-compile``, ``seed-derivation``, ``fault-precompute``,
+    ``status-collapse``, ``propagate``, ``reduce``, ``monitor`` and
+    ``scalar-fallback``.
     Insertion order is preserved in reports.
     """
 

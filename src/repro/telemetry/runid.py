@@ -6,7 +6,7 @@ deterministically.  The id is derived from the run's
 ``numpy.random.SeedSequence`` (entropy plus spawn key), which the
 PR 2 seed contract already fixes: batch run *k* is seeded with
 ``SeedSequence(seed, spawn_key=(k,))`` — child *k* of
-``SeedSequence(seed).spawn(runs)``, built in one place by
+``SeedSequence(seed).spawn(runs)``, built for the scalar paths by
 :func:`~repro.runtime.batch.run_seeds` — so the direct construction
 ``ResilientSimulator(..., seed=children[k])`` and the batch path
 derive the *same* id without coordination.

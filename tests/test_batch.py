@@ -41,6 +41,7 @@ from repro.runtime import (
     ScriptedFaults,
     Simulator,
 )
+from repro.runtime.batch import MAX_STREAM_RUNS, run_streams
 
 from strategies import systems
 
@@ -370,6 +371,36 @@ def test_cyclic_specification_falls_back_to_scalar():
             assert result.reliable_counts[name][k] == count
 
 
+class _DrawThenDecline(BernoulliFaults):
+    """Bernoulli faults whose ``precompute`` consumes draws, then declines."""
+
+    def precompute(self, plan, runs, iterations, rngs):
+        for k in range(runs):
+            rngs[k].random(5)
+            rngs[k].exponential(1.0)
+        return None
+
+
+@pytest.mark.parametrize("start, stop", [(0, 3), (2, 5)])
+def test_declining_precompute_falls_back_on_fresh_streams(start, stop):
+    """The fallback reseeds from the seed; consumed cursors are unused."""
+    spec = three_tank_spec(functions=bind_control_functions())
+    arch = three_tank_architecture()
+    impl = scenario1_implementation()
+    batch = BatchSimulator(
+        spec, arch, impl, faults=_DrawThenDecline(arch), seed=17
+    )
+    result = batch.run_range(start, stop, 25)
+    assert result.executor == "scalar-fallback"
+    for k in range(start, stop):
+        expected = scalar_counts(
+            spec, arch, impl, BernoulliFaults(arch),
+            np.random.SeedSequence(17, spawn_key=(k,)), 25,
+        )
+        for name, count in expected.items():
+            assert result.reliable_counts[name][k - start] == count
+
+
 def test_run_batch_validates_arguments():
     spec = three_tank_spec()
     arch = three_tank_architecture()
@@ -413,3 +444,83 @@ def test_batch_result_statistics_surface():
     assert set(tests) == set(spec.communicators)
     assert result.satisfies_lrcs(slack=0.02)
     assert "8 runs x 100 iterations" in result.summary()
+
+
+# ----------------------------------------------------------------------
+# run_streams: the bulk derivation draws the spawn-key generators.
+# ----------------------------------------------------------------------
+
+#: Seed 0, one-word seeds, and multi-word seeds up to 2**128.
+STREAM_SEEDS = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**32, max_value=2**128),
+)
+
+#: Range starts at 0, mid-range, and just below the 2**32-run limit.
+STREAM_STARTS = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=MAX_STREAM_RUNS - 40, max_value=MAX_STREAM_RUNS - 8),
+)
+
+
+def spawn_key_generator(seed, k):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+def assert_same_draws(item, reference):
+    assert item.random(4).tolist() == reference.random(4).tolist()
+    assert item.exponential(2.5) == reference.exponential(2.5)
+    assert (
+        item.integers(0, 2**40, size=3).tolist()
+        == reference.integers(0, 2**40, size=3).tolist()
+    )
+    # Three 32-bit draws: every other call leaves half a 64-bit
+    # output buffered in the bit generator, which the run's next turn
+    # must find again after other runs have drawn.
+    assert item.integers(0, 1000) == reference.integers(0, 1000)
+    assert (
+        item.random(2, dtype=np.float32).tolist()
+        == reference.random(2, dtype=np.float32).tolist()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(STREAM_SEEDS, STREAM_STARTS, st.integers(min_value=1, max_value=8))
+def test_run_streams_draw_the_spawn_key_generators(seed, start, runs):
+    streams = run_streams(seed, start, start + runs)
+    assert len(streams) == runs
+    with pytest.raises(IndexError):
+        streams[runs]
+    for k in range(runs):
+        assert_same_draws(streams[k], spawn_key_generator(seed, start + k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    STREAM_SEEDS,
+    STREAM_STARTS,
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12),
+)
+def test_interleaved_run_streams_equal_per_run_generators(
+    seed, start, order
+):
+    streams = run_streams(seed, start, start + 5)
+    references = [spawn_key_generator(seed, start + k) for k in range(5)]
+    # Item 3, then 1, then 3 again continues run 3's stream.
+    for k in [3, 1, 3] + order:
+        assert_same_draws(streams[k], references[k])
+
+
+def test_run_streams_stop_at_one_word_spawn_keys():
+    with pytest.raises(RuntimeSimulationError):
+        run_streams(0, MAX_STREAM_RUNS - 1, MAX_STREAM_RUNS + 1)
+    assert len(run_streams(0, MAX_STREAM_RUNS - 1, MAX_STREAM_RUNS)) == 1
+    arch = three_tank_architecture()
+    batch = BatchSimulator(
+        three_tank_spec(), arch, scenario1_implementation(),
+        faults=BernoulliFaults(arch),
+    )
+    with pytest.raises(RuntimeSimulationError):
+        batch.run_range(MAX_STREAM_RUNS - 1, MAX_STREAM_RUNS + 1, 10)

@@ -1,8 +1,9 @@
 """The determinism self-lint: the source tree stays reproducible.
 
 ``tools/check_determinism.py`` forbids global-RNG use, wall-clock
-reads, and per-run seed derivation outside the sanctioned entry
-points.  These tests run it over the real source tree (the
+reads, and per-run seed derivation (spawned children, raw
+bit-generator state, the seeding constants) outside the sanctioned
+entry points.  These tests run it over the real source tree (the
 repository's contract) and over synthetic fixtures (the checker's own
 correctness).
 """
@@ -111,6 +112,49 @@ def test_seed_derivation_is_confined_to_the_batch_module(tmp_path):
     violations = checker.check_file(path, "resilience/executive.py")
     assert any("per-run seed children" in v for v in violations)
     assert checker.check_file(path, "runtime/batch.py") == []
+
+
+@pytest.mark.parametrize(
+    "source, fragment",
+    [
+        (
+            "import numpy as np\n"
+            "bits = np.random.PCG64(1)\n"
+            "bits.state = {'bit_generator': 'PCG64'}\n",
+            "bit-generator state",
+        ),
+        (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(1)\n"
+            "rng.bit_generator.state = saved\n",
+            "bit-generator state",
+        ),
+        ("MULT_A = 0x931E8875\n", "seeding constants"),
+        (
+            "MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645\n",
+            "seeding constants",
+        ),
+    ],
+)
+def test_stream_derivation_is_confined_to_the_batch_module(
+    tmp_path, source, fragment
+):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    violations = checker.check_file(path, "runtime/faults.py")
+    assert any(fragment in v for v in violations), violations
+    assert checker.check_file(path, "runtime/batch.py") == []
+
+
+def test_own_state_fields_are_not_bit_generator_state(tmp_path):
+    source = (
+        "class Job:\n"
+        "    def start(self):\n"
+        "        self.state = 'running'\n"
+    )
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert checker.check_file(path, "service/jobs.py") == []
 
 
 def test_clock_allowlist_is_honoured(tmp_path):

@@ -34,7 +34,7 @@ from repro.runtime import (
     shard_slices,
     slice_batch_result,
 )
-from repro.runtime.batch import run_seeds
+from repro.runtime.batch import RunRange, run_seeds
 from repro.telemetry import TraceContext, derive_run_id, record_from_result
 
 from strategies import systems
@@ -257,12 +257,9 @@ def test_worker_failure_propagates():
 
 
 def run_slices(simulator, runs, iterations, bounds, monitor=None):
-    children = np.random.SeedSequence(simulator.seed).spawn(runs)
+    batch = RunRange(simulator.seed, 0, runs)
     return [
-        simulator.run_slice(
-            children[start:stop], iterations, monitor,
-            run_offset=start,
-        )
+        simulator.run_slice(batch.sub(start, stop), iterations, monitor)
         for start, stop in bounds
     ]
 

@@ -610,11 +610,11 @@ class SlowExecutor:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def execute(self, simulator, children, iterations, monitor=None):
+    def execute(self, simulator, runs, iterations, monitor=None):
         import time as _time
 
         _time.sleep(self.delay_s)
-        return simulator.run_slice(children, iterations, monitor)
+        return simulator.run_slice(runs, iterations, monitor)
 
 
 def test_running_job_times_out_and_late_result_is_discarded():

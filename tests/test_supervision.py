@@ -3,8 +3,8 @@
 The claim: :class:`ShardedExecutor` can lose a worker to a crash, a
 hang, or an injected error and still return a result
 **bit-identical** to a fault-free (and serial) execution,
-because a shard's work is a pure function of its
-``SeedSequence.spawn`` slice.  The differential suite drives that
+because a shard's work is a pure function of its run range (the
+seed and the shard's global run indices).  The differential suite drives that
 over Hypothesis-generated systems with hash-scheduled faults; the
 unit tests pin the retry policy arithmetic, hang detection, the
 give-up path, and the telemetry surface.
@@ -26,6 +26,7 @@ from repro.resilience import MonitorConfig
 from repro.runtime import (
     BatchSimulator,
     BernoulliFaults,
+    RunRange,
     SerialExecutor,
     ShardedExecutor,
 )
@@ -243,16 +244,12 @@ def test_give_up_names_global_runs_of_an_offset_chunk():
         chaos=KillFirstShard(),
     )
     simulator = three_tank_simulator(executor=executor)
-    children = [
-        np.random.SeedSequence(simulator.seed, spawn_key=(k,))
-        for k in range(100, 104)
-    ]
     with pytest.raises(
         RuntimeSimulationError,
         match=r"^sharded batch worker failed: shard 0 \(runs 100\.\.101\)"
         r" failed after 1 attempt\(s\): crash",
     ):
-        executor.execute(simulator, children, 6, run_offset=100)
+        executor.execute(simulator, RunRange(simulator.seed, 100, 104), 6)
 
 
 def test_inline_path_retries_errors():

@@ -26,11 +26,13 @@ in:
   reaches simulation state.
 
 * **Stray per-run seed derivation** — per-run seed children
-  (``SeedSequence(..., spawn_key=...)`` and any ``.spawn(...)`` call)
-  may be built only where the seed contract lives:
-  ``runtime/batch.py`` (``run_seeds``, the one derivation point).
-  Everything else asks ``run_seeds`` or ``BatchSimulator.run_range``
-  for a run range, so a change of contract touches one place.
+  (``SeedSequence(..., spawn_key=...)`` and any ``.spawn(...)`` call),
+  raw bit-generator state assignment (``x.state = ...`` on anything
+  but ``self``), and the SeedSequence/PCG64 seeding constants that
+  ``run_streams`` ports may appear only where the seed contract
+  lives: ``runtime/batch.py`` (``run_seeds`` and ``run_streams``).
+  Everything else asks those or ``BatchSimulator.run_range`` for a
+  run range, so a change of contract touches one place.
 
 Run it directly (CI does)::
 
@@ -73,10 +75,27 @@ CLOCK_ALLOWLIST = frozenset(
     }
 )
 
-#: Files (relative to the scan root) that may build per-run seed
-#: children: only the module of ``run_seeds``, the one place that
-#: defines the contract.
+#: Files (relative to the scan root) that may derive per-run seeds:
+#: only the module of ``run_seeds`` and ``run_streams``, the one place
+#: that defines the contract.
 SEED_DERIVATION_ALLOWLIST = frozenset({"runtime/batch.py"})
+
+#: numpy's SeedSequence hash constants and PCG64's LCG multiplier
+#: (whole and as 64-bit halves): a second port of the seeding would
+#: carry them.
+SEED_PORT_CONSTANTS = frozenset(
+    {
+        0x43B0D7E5,
+        0x931E8875,
+        0x8B51F9DD,
+        0x58F38DED,
+        0xCA01F9DD,
+        0x4973F715,
+        0x2360ED051FC65DA44385DF649FCCF645,
+        0x2360ED051FC65DA4,
+        0x4385DF649FCCF645,
+    }
+)
 
 #: Module-level ``numpy.random`` attributes that may be *called*:
 #: explicitly seeded constructors and generator classes.
@@ -214,10 +233,55 @@ class _Checker(ast.NodeVisitor):
             self.report(
                 node,
                 "per-run seed children are built only in "
-                "runtime/batch.py (BatchSimulator.run_range) and "
-                "resilience/executive.py; ask run_range for the runs",
+                "runtime/batch.py (run_seeds, run_streams); ask "
+                "BatchSimulator.run_range for the runs",
             )
         self.generic_visit(node)
+
+    # -- seed-derivation internals -------------------------------------
+
+    def _check_state_target(self, target: ast.AST) -> None:
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr == "state"
+            and not (
+                isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            )
+            and not self.seed_derivation_ok
+        ):
+            self.report(
+                target,
+                "raw bit-generator state is set only in "
+                "runtime/batch.py (run_streams); draw from the run's "
+                "generator instead",
+            )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_state_target(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_state_target(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_state_target(node.target)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if (
+            type(node.value) is int
+            and node.value in SEED_PORT_CONSTANTS
+            and not self.seed_derivation_ok
+        ):
+            self.report(
+                node,
+                "SeedSequence/PCG64 seeding constants belong to "
+                "runtime/batch.py (run_streams); derive run streams "
+                "there",
+            )
 
     def _check_call(self, node: ast.Call, dotted: str) -> None:
         parts = dotted.split(".")
