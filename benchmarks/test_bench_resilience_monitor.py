@@ -1,12 +1,14 @@
 """Overhead of the online LRC monitor on the batch Monte-Carlo path.
 
-The monitor's batch integration is failure-driven: the executor hands
-it sparse access-failure positions and all windowed-latch work happens
-in the window neighbourhoods of those failures
-(:func:`repro.resilience.monitor.monitor_events_from_failures`), so on
-a healthy system the pass reduces to finding the failures plus a
-per-block qualification check.  The acceptance ceiling is 1.3x the
-unmonitored batch runtime.
+The batch path picks the monitor pass per communicator from its
+failure density.  Here failures are rare (``failures x window <=
+runs x samples``), so it takes the sparse pass: all windowed-latch
+work happens in the window neighbourhoods of the failures
+(:func:`repro.resilience.monitor.sparse_changes`), and on a healthy
+system the pass reduces to finding the failures plus a per-block
+qualification check.  The dense pass over the full status tensor
+costs several times more on this workload, which is why both are
+kept.  The acceptance ceiling is 1.3x the unmonitored batch runtime.
 
 The workload is the steady-state case the ceiling is about: the
 replicated (LRC-compliant) 3TS implementation watched with an alarm

@@ -40,7 +40,6 @@ from repro.resilience.monitor import (
     LrcMonitor,
     MonitorConfig,
     batch_monitor_events,
-    sliding_window_counts,
 )
 from repro.resilience.policies import (
     DegradePolicy,
@@ -81,6 +80,5 @@ __all__ = [
     "first_applicable",
     "read_jsonl",
     "resilient_batch",
-    "sliding_window_counts",
     "write_jsonl",
 ]

@@ -17,23 +17,26 @@ Two integration points consume it:
 * the scalar :class:`~repro.runtime.engine.Simulator` calls
   :meth:`LrcMonitor.observe` from its per-write hook, once per
   communicator access in timetable order;
-* the vectorized :class:`~repro.runtime.batch.BatchSimulator` calls
-  :func:`batch_monitor_events` on its per-access status tensors —
-  windowed counts via one cumulative sum and a vectorized set/reset
-  latch, no per-run Python loop — producing the *same* events (per
-  run, per communicator) the scalar monitor would emit.
+* the vectorized :class:`~repro.runtime.batch.BatchSimulator` finds
+  each communicator's latch changes with :func:`dense_changes` (over
+  the per-access status tensor) when failures are dense, and with
+  :func:`sparse_changes` (over the failure positions alone) when they
+  are rare, then builds all events at once with
+  :func:`monitor_events` — no per-run Python loop, and the *same*
+  events (per run, per communicator) the scalar monitor would emit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import RuntimeSimulationError
 from repro.resilience.events import LrcAlarm, LrcClear, ResilienceEvent
+from repro.runtime.faults import DRAW_CHUNK_BYTES
 from repro.telemetry.sink import InstrumentationSink
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,6 +104,14 @@ class MonitorConfig:
             clear = self.clear_above.get(
                 name, min(1.0, alarm + self.hysteresis)
             )
+            if alarm > 1.0:
+                # A full window's rate never exceeds 1, so every window
+                # would alarm.  (A clear threshold above 1 is legal: the
+                # alarm then never clears.)
+                raise RuntimeSimulationError(
+                    f"communicator {name!r}: alarm threshold {alarm} "
+                    f"exceeds 1; every window would alarm"
+                )
             if clear < alarm:
                 raise RuntimeSimulationError(
                     f"communicator {name!r}: clear threshold {clear} "
@@ -229,87 +240,30 @@ class LrcMonitor(InstrumentationSink):
         return sorted(c for c, on in self._alarmed.items() if on)
 
 
-def sliding_window_counts(
-    status: np.ndarray, window: int
-) -> np.ndarray:
-    """Return reliable counts over every full window of *status*.
+class LatchChanges(NamedTuple):
+    """One communicator's latch changes, column-wise.
 
-    *status* is ``(runs, samples)`` boolean; the result is
-    ``(runs, samples - window + 1)`` with column ``t`` counting the
-    ``True`` entries of ``status[:, t : t + window]``.
+    ``step`` is the access index at which the event is emitted,
+    ``alarm`` tells an alarm from a clear, and ``fails`` counts the
+    unreliable accesses of the window ending at ``step``.
     """
-    cum = np.cumsum(status, axis=1, dtype=np.int64)
-    counts = cum[:, window - 1:].copy()
-    counts[:, 1:] -= cum[:, :-window]
-    return counts
+
+    run: np.ndarray
+    step: np.ndarray
+    alarm: np.ndarray
+    fails: np.ndarray
 
 
-def batch_monitor_events(
-    communicator: str,
-    status: np.ndarray,
-    times: np.ndarray,
-    alarm_below: float,
-    clear_above: float,
-    window: int,
-) -> list[ResilienceEvent]:
-    """Vectorized monitor pass over one communicator's status tensor.
-
-    *status* is the ``(runs, samples)`` per-access reliability tensor
-    of the communicator, *times* the ``(samples,)`` access instants.
-    Implements exactly the scalar monitor's semantics — full-window
-    rates, alarm when ``rate < alarm_below``, clear when
-    ``rate >= clear_above`` — as a vectorized set/reset latch: the
-    window is alarmed at step ``t`` iff the most recent
-    threshold-crossing up to ``t`` was an alarm crossing.  Only the
-    final event extraction loops, and it is proportional to the number
-    of *events*, not runs times samples.
-    """
-    runs, samples = status.shape
-    if samples < window:
-        return []
-    counts = sliding_window_counts(status, window)
-    rates = counts / window
-    below = rates < alarm_below
-    above = rates >= clear_above
-    steps = np.arange(rates.shape[1], dtype=np.int64)
-    last_alarm = np.maximum.accumulate(
-        np.where(below, steps, -1), axis=1
-    )
-    last_clear = np.maximum.accumulate(
-        np.where(above, steps, -1), axis=1
-    )
-    alarmed = last_alarm > last_clear
-    previous = np.zeros_like(alarmed)
-    previous[:, 1:] = alarmed[:, :-1]
-    events: list[ResilienceEvent] = []
-    for run, step in np.argwhere(alarmed & ~previous):
-        events.append(
-            LrcAlarm(
-                time=int(times[step + window - 1]),
-                run=int(run),
-                communicator=communicator,
-                rate=float(rates[run, step]),
-                threshold=alarm_below,
-                window=window,
-            )
-        )
-    for run, step in np.argwhere(~alarmed & previous):
-        events.append(
-            LrcClear(
-                time=int(times[step + window - 1]),
-                run=int(run),
-                communicator=communicator,
-                rate=float(rates[run, step]),
-                threshold=clear_above,
-                window=window,
-            )
-        )
-    events.sort(key=lambda e: (e.run, e.time))
-    return events
+_NO_CHANGES = LatchChanges(
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=bool),
+    np.empty(0, dtype=np.int64),
+)
 
 
 def _count_thresholds(
-    alarm_below: float, clear_above: float, window: int
+    communicator: str, alarm_below: float, clear_above: float, window: int
 ) -> tuple[int, int]:
     """Translate rate thresholds into integer failure-count thresholds.
 
@@ -319,8 +273,14 @@ def _count_thresholds(
     max_clear_fails)``: the window is *below* the alarm threshold iff
     ``f >= need_fails`` and *above* the clear threshold iff
     ``f <= max_clear_fails`` (which is ``-1`` when no window can clear,
-    i.e. ``clear_above > 1``).
+    i.e. ``clear_above > 1``).  An alarm threshold above 1 would alarm
+    on every full window and is refused.
     """
+    if alarm_below > 1.0:
+        raise RuntimeSimulationError(
+            f"communicator {communicator!r}: alarm threshold "
+            f"{alarm_below} exceeds 1; every window would alarm"
+        )
     counts = np.arange(window + 1, dtype=np.float64) / window
     below = counts < alarm_below
     above = counts >= clear_above
@@ -331,46 +291,88 @@ def _count_thresholds(
     return window - max_below, window - min_above
 
 
-def monitor_events_from_failures(
+def dense_changes(
     communicator: str,
-    fail_runs: np.ndarray,
-    fail_steps: np.ndarray,
-    runs: int,
-    samples: int,
-    times: np.ndarray,
+    status: np.ndarray,
     alarm_below: float,
     clear_above: float,
     window: int,
-) -> list[ResilienceEvent]:
-    """Sparse monitor pass from access-failure *positions* alone.
+) -> LatchChanges:
+    """The latch changes of a ``(runs, samples)`` status tensor.
 
-    Produces exactly the events of :func:`batch_monitor_events` without
-    ever materializing the ``(runs, samples)`` status tensor: since the
+    Windowed failure counts come from one int32 cumulative sum; each
+    full window is coded ``1`` (below the alarm threshold), ``-1``
+    (at or above the clear threshold) or ``0``.  Only a step whose
+    code is nonzero and differs from its predecessor can move the
+    latch, so the set/reset scan runs over those change points alone.
+    Rows are processed in blocks of about :data:`DRAW_CHUNK_BYTES` of
+    working set.
+    """
+    runs, samples = status.shape
+    steps = samples - window + 1
+    need, max_clear = _count_thresholds(
+        communicator, alarm_below, clear_above, window
+    )
+    if steps <= 0 or runs == 0:
+        return _NO_CHANGES
+    parts = []
+    rows = max(1, DRAW_CHUNK_BYTES // (16 * samples))
+    for lo in range(0, runs, rows):
+        block = status[lo : lo + rows]
+        cum = np.zeros((len(block), samples + 1), dtype=np.int32)
+        np.cumsum(~block, axis=1, dtype=np.int32, out=cum[:, 1:])
+        fails = cum[:, window:] - cum[:, :-window]
+        below = (fails >= need).view(np.int8)
+        code = below - (fails <= max_clear).view(np.int8)
+        change = code != 0
+        change[:, 1:] &= code[:, 1:] != code[:, :-1]
+        at = np.flatnonzero(change)
+        row, t = np.divmod(at, steps)
+        value = code.ravel()[at]
+        # The latch starts cleared in every row; a change point moves
+        # it iff its code differs from the row's previous change point.
+        before = np.empty_like(value)
+        before[:1] = -1
+        before[1:] = value[:-1]
+        before[np.flatnonzero(np.diff(row)) + 1] = -1
+        moved = np.flatnonzero(value != before)
+        parts.append(LatchChanges(
+            row[moved] + lo,
+            t[moved] + (window - 1),
+            value[moved] == 1,
+            fails.ravel()[at[moved]],
+        ))
+    return LatchChanges(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def sparse_changes(
+    communicator: str,
+    fail_runs: np.ndarray,
+    fail_steps: np.ndarray,
+    samples: int,
+    alarm_below: float,
+    clear_above: float,
+    window: int,
+) -> LatchChanges:
+    """The latch changes from access-failure *positions* alone.
+
+    Produces exactly the changes of :func:`dense_changes` without
+    materializing the ``(runs, samples)`` status tensor: since the
     alarm threshold is at most 1, a window can only drop below it if it
     contains a failure, and every window free of failures has rate 1.0
     and therefore clears.  All latch work is restricted to the window
     neighbourhoods of the failures — ``O(failures x window)`` instead
-    of ``O(runs x samples)`` — which is what keeps monitoring nearly
-    free on the batch path, where reliable accesses vastly outnumber
-    failures.
+    of ``O(runs x samples)`` — which pays when failures are rare.
 
     ``fail_runs``/``fail_steps`` hold the run and access index of every
-    unreliable access, sorted by ``(run, step)``; *times* maps access
-    index to simulation time.
+    unreliable access, sorted by ``(run, step)``.
     """
     steps_total = samples - window + 1
-    if steps_total <= 0 or fail_steps.size == 0:
-        return []
     need_fails, max_clear_fails = _count_thresholds(
-        alarm_below, clear_above, window
+        communicator, alarm_below, clear_above, window
     )
-    if need_fails > window:
-        return []  # not even an all-failed window alarms
-    if need_fails < 1:
-        raise RuntimeSimulationError(
-            f"communicator {communicator!r}: alarm threshold "
-            f"{alarm_below} exceeds 1; every window would alarm"
-        )
+    if steps_total <= 0 or fail_steps.size == 0 or need_fails > window:
+        return _NO_CHANGES  # need_fails > window: nothing ever alarms
     pad = np.int64(samples + window)
     fkey = (
         fail_runs.astype(np.int64) * pad
@@ -403,7 +405,7 @@ def monitor_events_from_failures(
     eidx = np.r_[sidx[1:], fkey.size]
     qualifying = eidx - sidx >= need_fails
     if not qualifying.any():
-        return []
+        return _NO_CHANGES
     first = fkey[sidx[qualifying]]
     last = fkey[eidx[qualifying] - 1]
     base = (first // pad) * pad
@@ -420,27 +422,14 @@ def monitor_events_from_failures(
     gap[starts] = True
     f = np.searchsorted(fkey, key + window) - np.searchsorted(fkey, key)
     below = f >= need_fails
-    events: list[ResilienceEvent] = []
     if max_clear_fails < 0:
         # clear_above > 1: an alarm can never clear, so only the first
         # below-threshold window of each run emits anything.
-        seen: set[int] = set()
-        for i in np.flatnonzero(below):
-            r = int(run[i])
-            if r in seen:
-                continue
-            seen.add(r)
-            events.append(
-                LrcAlarm(
-                    time=int(times[t[i] + window - 1]),
-                    run=r,
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=alarm_below,
-                    window=window,
-                )
-            )
-        return events
+        i = np.flatnonzero(below)
+        i = i[np.r_[True, run[i][1:] != run[i][:-1]]] if i.size else i
+        return LatchChanges(
+            run[i], t[i] + (window - 1), np.ones(i.size, dtype=bool), f[i]
+        )
     # Set/reset latch over the candidate sequence.  A gap between
     # candidates is a stretch of rate-1.0 windows, so it clears the
     # latch; encode that as a clear marker ranked below a same-step
@@ -467,52 +456,112 @@ def monitor_events_from_failures(
     terminal = np.flatnonzero(
         alarmed & last_in_block & (t < steps_total - 1)
     )
-    ev_i = np.concatenate([rising, falling, terminal])
-    if ev_i.size == 0:
-        return events
-    kind = np.concatenate(
-        [
-            np.zeros(rising.size, dtype=np.int8),
-            np.ones(falling.size, dtype=np.int8),
-            np.full(terminal.size, 2, dtype=np.int8),
-        ]
+    changed = np.concatenate([rising, falling, terminal])
+    return LatchChanges(
+        run[changed],
+        t[changed] + (window - 1)
+        + np.repeat([0, 0, 1], [rising.size, falling.size, terminal.size]),
+        np.repeat(
+            [True, False, False], [rising.size, falling.size, terminal.size]
+        ),
+        np.concatenate(
+            [f[rising], f[falling], np.zeros(terminal.size, dtype=f.dtype)]
+        ),
     )
-    # Emit in (run, time) order directly; (run, time) pairs are unique
-    # across the three event classes.
-    ev_t = t[ev_i] + (window - 1) + (kind == 2)
-    for j in np.argsort(run[ev_i] * pad + ev_t, kind="stable"):
-        i = int(ev_i[j])
-        if kind[j] == 0:
-            events.append(
-                LrcAlarm(
-                    time=int(times[t[i] + window - 1]),
-                    run=int(run[i]),
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=alarm_below,
-                    window=window,
-                )
-            )
-        elif kind[j] == 1:
-            events.append(
-                LrcClear(
-                    time=int(times[t[i] + window - 1]),
-                    run=int(run[i]),
-                    communicator=communicator,
-                    rate=(window - int(f[i])) / window,
-                    threshold=clear_above,
-                    window=window,
-                )
-            )
-        else:
-            events.append(
-                LrcClear(
-                    time=int(times[t[i] + window]),
-                    run=int(run[i]),
-                    communicator=communicator,
-                    rate=1.0,
-                    threshold=clear_above,
-                    window=window,
-                )
-            )
-    return events
+
+
+def monitor_events(
+    changes: "Sequence[tuple[str, LatchChanges, np.ndarray, float, float]]",
+    window: int,
+    rank: "Mapping[str, int] | None" = None,
+    first_run: int = 0,
+) -> list[ResilienceEvent]:
+    """Events of several communicators' changes, in emission order.
+
+    Each item of *changes* is ``(communicator, changes, times,
+    alarm_below, clear_above)``, *times* mapping access index to
+    simulation time.  Events are ordered by run, time, then
+    communicator *rank* (the scalar engine's same-instant order;
+    default: the order of *changes*) with one ``lexsort`` over all of
+    them, and only then built; runs are offset by *first_run*.
+    """
+    if rank is None:
+        rank = {name: i for i, (name, *_) in enumerate(changes)}
+    parts = [c for c in changes if c[1].run.size]
+    if not parts:
+        return []
+    names, found, times, alarms, clears = zip(*parts)
+    source = np.repeat(np.arange(len(parts)), [c.run.size for c in found])
+    run = np.concatenate([c.run for c in found])
+    time = np.concatenate([t[c.step] for t, c in zip(times, found)])
+    order = np.lexsort(
+        (np.array([rank[name] for name in names])[source], time, run)
+    )
+    alarm = np.concatenate([c.alarm for c in found])[order]
+    fails = np.concatenate([c.fails for c in found])[order]
+    thresholds = (clears, alarms)
+    return [
+        (LrcAlarm if a else LrcClear)(
+            time=t, run=r, communicator=names[i], rate=x,
+            threshold=thresholds[a][i], window=window,
+        )
+        for t, r, i, x, a in zip(
+            time[order].tolist(),
+            (run[order] + first_run).tolist(),
+            source[order].tolist(),
+            ((window - fails) / window).tolist(),
+            alarm.tolist(),
+        )
+    ]
+
+
+def batch_monitor_events(
+    communicator: str,
+    status: np.ndarray,
+    times: np.ndarray,
+    alarm_below: float,
+    clear_above: float,
+    window: int,
+) -> list[ResilienceEvent]:
+    """Vectorized monitor pass over one communicator's status tensor.
+
+    *status* is the ``(runs, samples)`` per-access reliability tensor
+    of the communicator, *times* the ``(samples,)`` access instants.
+    Implements exactly the scalar monitor's semantics — full-window
+    rates, alarm when ``rate < alarm_below``, clear when
+    ``rate >= clear_above`` — with the dense pass of
+    :func:`dense_changes`; events come in ``(run, time)`` order.
+    """
+    changes = dense_changes(
+        communicator, status, alarm_below, clear_above, window
+    )
+    return monitor_events(
+        [(communicator, changes, times, alarm_below, clear_above)], window
+    )
+
+
+def monitor_events_from_failures(
+    communicator: str,
+    fail_runs: np.ndarray,
+    fail_steps: np.ndarray,
+    runs: int,
+    samples: int,
+    times: np.ndarray,
+    alarm_below: float,
+    clear_above: float,
+    window: int,
+) -> list[ResilienceEvent]:
+    """Sparse monitor pass from access-failure *positions* alone.
+
+    Produces exactly the events of :func:`batch_monitor_events` from
+    the ``(run, step)``-sorted positions of the unreliable accesses
+    (see :func:`sparse_changes`); *times* maps access index to
+    simulation time.
+    """
+    changes = sparse_changes(
+        communicator, fail_runs, fail_steps, samples,
+        alarm_below, clear_above, window,
+    )
+    return monitor_events(
+        [(communicator, changes, times, alarm_below, clear_above)], window
+    )

@@ -805,7 +805,7 @@ class BatchSimulator:
         if monitor is not None:
             with profiler.stage("monitor"):
                 monitor_events = self._monitor_events(
-                    monitor, task_ok, delivered, runs, iterations,
+                    monitor, task_ok, delivered, counts, runs, iterations,
                     first_run,
                 )
         return BatchResult(
@@ -886,8 +886,8 @@ class BatchSimulator:
         full ``(runs, samples)`` status tensor it returns
         ``(fail_runs, fail_steps, samples, times)`` where the paired
         arrays list every access that observes BOTTOM, sorted by
-        ``(run, step)``.  Failures are rare, so this is what the
-        monitor pass works from.
+        ``(run, step)``.  The monitor pass works from these when
+        failures are rare (see :meth:`_monitor_events`).
         """
         plan = self.plan
         pi = int(plan.comm_periods[ci])
@@ -962,46 +962,60 @@ class BatchSimulator:
         monitor: "MonitorConfig",
         task_ok: "Sequence[np.ndarray | None]",
         delivered: Sequence[np.ndarray],
+        counts: Mapping[str, np.ndarray],
         runs: int,
         iterations: int,
         first_run: int = 0,
     ) -> "tuple[ResilienceEvent, ...]":
         """Vectorized online-monitor pass over the whole batch.
 
-        Works from sparse failure positions
-        (:meth:`_access_failures` + the failure-neighbourhood latch of
-        :func:`~repro.resilience.monitor.monitor_events_from_failures`)
-        so its cost tracks the number of failures, not
-        ``runs x samples``.
+        The failure density of each communicator picks the pass: with
+        more failing window positions than accesses (``failures x
+        window > runs x samples``) the dense pass over the full status
+        tensor (:meth:`_access_status`,
+        :func:`~repro.resilience.monitor.dense_changes`) is cheaper;
+        otherwise the sparse pass over the failure positions
+        (:meth:`_access_failures`,
+        :func:`~repro.resilience.monitor.sparse_changes`), whose cost
+        tracks the failures.  Both give the same changes.  The reliable
+        *counts* of the reduce stage give the failures for free.
         """
-        from repro.resilience.monitor import monitor_events_from_failures
+        from repro.resilience.monitor import (
+            dense_changes,
+            monitor_events,
+            sparse_changes,
+        )
 
         plan = self.plan
+        window = monitor.window
         thresholds = monitor.thresholds(self.spec)
-        events = []
+        changes = []
         for ci, name in enumerate(plan.comm_names):
             if name not in thresholds:
                 continue
-            fail_runs, fail_steps, samples, times = self._access_failures(
-                ci, task_ok, delivered, runs, iterations
-            )
             alarm, clear = thresholds[name]
-            events.extend(
-                monitor_events_from_failures(
-                    name, fail_runs, fail_steps, runs, samples, times,
-                    alarm, clear, monitor.window,
+            samples = int(plan.accesses_per_period[ci]) * iterations
+            failures = runs * samples - int(counts[name].sum())
+            if failures * window > runs * samples:
+                status, times = self._access_status(
+                    ci, task_ok, delivered, runs, iterations
                 )
-            )
-        # Tie-break same-instant events the way the scalar engine emits
-        # them: communicators in specification declaration order.
-        order = {name: i for i, name in enumerate(self.spec.communicators)}
-        events.sort(key=lambda e: (e.run, e.time, order[e.communicator]))
-        if first_run:
-            events = [
-                dataclasses.replace(event, run=event.run + first_run)
-                for event in events
-            ]
-        return tuple(events)
+                found = dense_changes(name, status, alarm, clear, window)
+            else:
+                fail_runs, fail_steps, samples, times = (
+                    self._access_failures(
+                        ci, task_ok, delivered, runs, iterations
+                    )
+                )
+                found = sparse_changes(
+                    name, fail_runs, fail_steps, samples,
+                    alarm, clear, window,
+                )
+            changes.append((name, found, times, alarm, clear))
+        # Same-instant events come in specification declaration order,
+        # as the scalar engine emits them.
+        rank = {name: i for i, name in enumerate(self.spec.communicators)}
+        return tuple(monitor_events(changes, window, rank, first_run))
 
     def _port_bits(
         self,

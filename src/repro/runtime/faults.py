@@ -85,10 +85,10 @@ class PrecomputedFaults:
         )
 
 
-#: Upper bound on :meth:`BernoulliFaults.precompute`'s draw buffer:
-#: runs are sampled in chunks of this many bytes of float64 uniforms.
-#: Larger chunks are no faster on 3TS, and an 8 MiB buffer raised the
-#: service daemon's peak RSS by about 14 MB.
+#: Upper bound on the batch path's working buffers: uniforms are drawn,
+#: and the dense monitor pass scans status rows, in blocks of about
+#: this many bytes.  Larger blocks are no faster, and an 8 MiB buffer
+#: raised the service daemon's peak RSS by about 14 MB.
 DRAW_CHUNK_BYTES = 1 << 20
 
 
@@ -468,7 +468,7 @@ class GilbertElliottFaults(FaultInjector):
     exactly two uniforms — the state-transition draw, then the failure
     draw judged against the post-transition state — regardless of the
     outcome, so the draw order stays canonical and :meth:`precompute`
-    can replay it vectorized over the run axis.  Queries of unmodeled
+    can scan each chain along time.  Queries of unmodeled
     entities consume nothing and never fail.
 
     Chains are per-run state: :meth:`begin_run` resets every chain to
@@ -539,135 +539,132 @@ class GilbertElliottFaults(FaultInjector):
 
     # -- batch support --------------------------------------------------
 
-    @staticmethod
-    def _phase_query_order(schedule) -> list[tuple[int, str, int, str]]:
-        """The canonical per-iteration query order of one phase.
+    def _chain_steps(self, plan: "SimulationPlan"):
+        """Where the chain steps of one hyperperiod fall, in draw order.
 
-        The Bernoulli draw offsets in the :class:`DrawSchedule` encode
-        the order in which the scalar engine queries the injector
-        (offsets ascending); sorting the slots by offset recovers that
-        order independently of how many draws *this* injector takes
-        per query.
+        Each phase's :class:`DrawSchedule` offsets give the scalar query
+        order; every query of a modeled entity is one step of two
+        uniforms (a replica's host step, then the network's).  Returns
+        ``widths[p]``, the uniforms per iteration of phase ``p``, and
+        per stepping chain ``(channel, at, writes)``: its hyperperiod
+        steps ``at`` in time order and, per mask, ``(phase, replica,
+        k, slots)`` — steps ``at[k]`` fail those ``slots``.
         """
-        queries = [
-            (int(schedule.sensor_slot_offset[j]), "sensor", j, name)
-            for j, name in enumerate(schedule.sensor_slot_name)
-        ]
-        queries.extend(
-            (int(schedule.replica_slot_offset[j]), "replica", j, host)
-            for j, host in enumerate(schedule.replica_slot_host)
-        )
-        queries.sort()
-        return queries
-
-    @staticmethod
-    def _vector_step(
-        bad: np.ndarray,
-        channel: GilbertElliottChannel,
-        transition: np.ndarray,
-        failure: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One chain step for every run at once (mirrors :meth:`_step`)."""
-        new_bad = np.where(
-            bad,
-            transition >= channel.bad_to_good,
-            transition < channel.good_to_bad,
-        )
-        fail = np.where(
-            new_bad,
-            failure < channel.fail_bad,
-            failure < channel.fail_good,
-        )
-        return new_bad, fail
+        tables = {"host": self.hosts, "sensor": self.sensors}
+        tables["network"] = {} if self.network is None else {"": self.network}
+        steps, widths = [], []
+        for p, s in enumerate(plan.schedules):
+            queries = sorted(
+                [(at, 0, j, ("sensor", name)) for j, (at, name) in
+                 enumerate(zip(s.sensor_slot_offset, s.sensor_slot_name))]
+                + [(at, 1, j, ("host", host)) for j, (at, host) in
+                   enumerate(zip(s.replica_slot_offset, s.replica_slot_host))]
+            )
+            first = len(steps)
+            for _, replica, j, key in queries:
+                keys = [key, ("network", "")] if replica else [key]
+                steps += [
+                    (k, p, replica, j) for k in keys if k[1] in tables[k[0]]
+                ]
+            widths.append(2 * (len(steps) - first))
+        layout = []
+        for key in dict.fromkeys(step[0] for step in steps):
+            at = [q for q, step in enumerate(steps) if step[0] == key]
+            writes: dict = {}
+            for k, q in enumerate(at):
+                _, p, replica, j = steps[q]
+                writes.setdefault((p, replica), []).append((k, j))
+            layout.append((tables[key[0]][key[1]], np.array(at), [
+                (p, replica, *np.array(pairs).T)
+                for (p, replica), pairs in writes.items()
+            ]))
+        return widths, layout
 
     def precompute(self, plan, runs, iterations, rngs):
-        """Replay every run's chain, vectorized over the run axis.
+        """Scan every chain along time, in blocks of bounded draws.
 
-        The chains are sequential in time but independent across runs,
-        so the scan loops over ``iterations x queries`` once with all
-        runs advanced per step — no per-run Python loop.  Each run's
-        stream is sampled in one shot and consumed at the same
-        positions the scalar engine would consume it draw by draw.
+        Time is cut into blocks of whole hyperperiods holding at most
+        :data:`DRAW_CHUNK_BYTES` of uniforms (long runs one at a time,
+        short ones stacked); each run draws a block with one
+        ``Generator.random`` call, exactly what the scalar engine draws
+        step by step.  Each chain is scanned by :func:`_scan_chain`,
+        its state carried across block boundaries.
         """
         result = _empty_masks(plan, runs, iterations)
-        phase_queries = [
-            self._phase_query_order(schedule)
-            for schedule in plan.schedules
-        ]
-
-        def draws_per_iteration(queries) -> int:
-            draws = 0
-            for _, kind, _, name in queries:
-                if kind == "sensor":
-                    draws += 2 if name in self.sensors else 0
-                else:
-                    draws += 2 if name in self.hosts else 0
-                    draws += 2 if self.network is not None else 0
-            return draws
-
-        per_phase_draws = [draws_per_iteration(q) for q in phase_queries]
-        total = sum(
-            per_phase_draws[k % plan.n_phases] for k in range(iterations)
-        )
-        if total == 0:
+        widths, layout = self._chain_steps(plan)
+        hyper = sum(widths) // 2
+        if hyper == 0 or iterations == 0:
             return result
-        streams = np.stack([rngs[k].random(total) for k in range(runs)])
-        bad: dict[tuple[str, str], np.ndarray] = {}
-        for name, channel in self.hosts.items():
-            bad[("host", name)] = np.full(runs, channel.start_bad)
-        for name, channel in self.sensors.items():
-            bad[("sensor", name)] = np.full(runs, channel.start_bad)
-        if self.network is not None:
-            bad[("network", "")] = np.full(runs, self.network.start_bad)
-
-        position = 0
-        column = [0] * plan.n_phases
-        for iteration in range(iterations):
-            p = iteration % plan.n_phases
-            col = column[p]
-            column[p] += 1
-            for _, kind, j, name in phase_queries[p]:
-                if kind == "sensor":
-                    channel = self.sensors.get(name)
-                    if channel is None:
-                        continue
-                    key = ("sensor", name)
-                    bad[key], fail = self._vector_step(
-                        bad[key],
-                        channel,
-                        streams[:, position],
-                        streams[:, position + 1],
+        n, periods = plan.n_phases, -(-iterations // plan.n_phases)
+        # Hyperperiods per block, and runs stacked per block.
+        fit = max(1, DRAW_CHUNK_BYTES // (16 * hyper))
+        span = min(fit, periods)
+        rows = max(1, min(runs, fit // span))
+        buffer = np.zeros((rows, span * hyper * 2), dtype=np.float64)
+        masks = (result.sensor_fail, result.replica_fail)
+        for lo in range(0, runs, rows):
+            hi = min(runs, lo + rows)
+            bad = [np.full(hi - lo, c.start_bad) for c, _, _ in layout]
+            for start in range(0, periods, span):
+                block_iterations = min(span * n, iterations - start * n)
+                _, draws = plan.draw_layout(block_iterations, widths)
+                for run in range(lo, hi):
+                    buffer[run - lo, :draws] = rngs[run].random(draws)
+                m = -(-block_iterations // n)
+                # (row, hyperperiod, step, transition/failure); the
+                # steps a partial last hyperperiod lacks are scanned
+                # after the real ones and never written.
+                block = buffer[: hi - lo, : m * hyper * 2].reshape(
+                    hi - lo, m, hyper, 2
+                )
+                for c, (channel, at, writes) in enumerate(layout):
+                    drawn = np.take(block, at, axis=2).reshape(hi - lo, -1, 2)
+                    fail, bad[c] = _scan_chain(
+                        channel, drawn[..., 0], drawn[..., 1], bad[c]
                     )
-                    position += 2
-                    result.sensor_fail[p][:, j, col] = fail
-                    continue
-                channel = self.hosts.get(name)
-                fail = np.zeros(runs, dtype=bool)
-                if channel is not None:
-                    key = ("host", name)
-                    bad[key], fail = self._vector_step(
-                        bad[key],
-                        channel,
-                        streams[:, position],
-                        streams[:, position + 1],
-                    )
-                    position += 2
-                if self.network is not None:
-                    key = ("network", "")
-                    bad[key], broadcast = self._vector_step(
-                        bad[key],
-                        self.network,
-                        streams[:, position],
-                        streams[:, position + 1],
-                    )
-                    position += 2
-                    fail = fail | broadcast
-                result.replica_fail[p][:, j, col] = fail
+                    fail = fail.reshape(hi - lo, m, len(at))
+                    for p, replica, k, slots in writes:
+                        cols = len(range(p, block_iterations, n))
+                        stop = start + cols
+                        masks[replica][p][lo:hi, slots, start:stop] |= (
+                            fail[:, :cols, k].transpose(0, 2, 1)
+                        )
         return PrecomputedFaults(
             stochastic=True,
             sensor_fail=result.sensor_fail,
             replica_fail=result.replica_fail,
         )
+
+
+def _scan_chain(channel, transition, failure, bad):
+    """Run one Gilbert–Elliott chain over ``(rows, steps)`` draws.
+
+    Mirrors :meth:`GilbertElliottFaults._step` for all steps at once.
+    With ``jump = transition < good_to_bad`` and ``heal = transition
+    < bad_to_good``, a step *flips* the state if both hold, *sets* it
+    to ``jump`` if one does, and keeps it otherwise.  So the state is
+    the last set value (else *bad*, the state carried in) XOR the
+    flips' parity since: code a setting step ``i`` as ``2i + 2`` plus
+    its value XOR the parity so far, and the running maximum's low bit
+    XOR the parity is the state.  Returns the failure mask and the
+    last state.
+    """
+    jump = transition < channel.good_to_bad
+    heal = transition < channel.bad_to_good
+    parity = np.logical_xor.accumulate(jump & heal, axis=1)
+    code = np.where(
+        jump ^ heal,
+        np.arange(2, 2 * jump.shape[1] + 2, 2, dtype=np.int32)
+        + (jump ^ parity),
+        bad[:, None].astype(np.int32),
+    )
+    np.maximum.accumulate(code, axis=1, out=code)
+    state = (code & 1).astype(bool) ^ parity
+    if channel.fail_bad >= 1.0 and channel.fail_good <= 0.0:
+        fail = state  # uniforms lie in [0, 1): the failure draw is moot
+    else:
+        fail = failure < np.where(state, channel.fail_bad, channel.fail_good)
+    return fail, state[:, -1].copy()
 
 
 class CrashRepairFaults(FaultInjector):

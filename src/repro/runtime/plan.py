@@ -29,7 +29,7 @@ a run with one ``Generator.random`` call and slice it per event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -203,18 +203,21 @@ class SimulationPlan:
         """Return how many uniforms one iteration consumes."""
         return self.schedules[iteration % self.n_phases].draws
 
-    def draw_layout(self, iterations: int) -> tuple[np.ndarray, int]:
+    def draw_layout(
+        self, iterations: int, widths: "Sequence[int] | None" = None
+    ) -> tuple[np.ndarray, int]:
         """Return ``(base, total)`` for a run of *iterations* periods.
 
-        ``base[k]`` is the flat index of iteration ``k``'s first draw;
-        ``total`` is the stream length a batch run consumes — exactly
-        what the scalar executor consumes with the same injector.
+        ``widths[p]`` is the number of uniforms one iteration of phase
+        ``p`` consumes; it defaults to the schedules' ``draws`` (one
+        per query, plus the broadcast draws).  ``base[k]`` is the flat
+        index of iteration ``k``'s first draw; ``total`` is the stream
+        length a batch run consumes — exactly what the scalar executor
+        consumes with the same injector.
         """
-        per_iter = np.array(
-            [self.schedules[k % self.n_phases].draws
-             for k in range(self.n_phases)],
-            dtype=np.int64,
-        )
+        if widths is None:
+            widths = [schedule.draws for schedule in self.schedules]
+        per_iter = np.asarray(widths, dtype=np.int64)
         tiled = np.tile(per_iter, -(-iterations // self.n_phases))[
             :iterations
         ]

@@ -18,14 +18,18 @@ from hypothesis import strategies as st
 from repro.arch import Architecture, ExecutionMetrics, Host, Sensor
 from repro.errors import RuntimeSimulationError
 from repro.experiments import (
+    ACTUATORS,
+    baseline_implementation,
     bind_control_functions,
     cyclic_specification,
     scenario1_implementation,
+    scenario2_implementation,
     three_tank_architecture,
     three_tank_spec,
     unplug_monte_carlo,
 )
-from repro.mapping import Implementation
+from repro.experiments.three_tank_system import ThreeTankEnvironment
+from repro.mapping import Implementation, TimeDependentImplementation
 from repro.reliability import (
     binomial_confidence_interval,
     communicator_srgs,
@@ -41,6 +45,8 @@ from repro.runtime import (
     ScriptedFaults,
     Simulator,
 )
+from repro.resilience import LrcMonitor, MonitorConfig
+from repro.runtime import faults as faults_module
 from repro.runtime.batch import MAX_STREAM_RUNS, run_streams
 
 from strategies import systems
@@ -221,6 +227,64 @@ def test_batch_matches_scalar_with_gilbert_elliott(
         )
         for name, count in expected.items():
             assert result.reliable_counts[name][k] == count
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("phases", [1, 3])
+@pytest.mark.parametrize("chunk", [48, 4096])
+def test_gilbert_elliott_scan_carries_state_across_blocks(
+    monkeypatch, seed, phases, chunk
+):
+    # A draw buffer of a few dozen bytes holds one hyperperiod of one
+    # run per block, 4 KiB a few; either way each run's chains cross
+    # many block boundaries (with three phases, 40 iterations also end
+    # in a partial hyperperiod).  Hosts, sensors and the network are
+    # all modeled, and the channel reaches all four transition maps.
+    monkeypatch.setattr(faults_module, "DRAW_CHUNK_BYTES", chunk)
+    spec = three_tank_spec(lrc_u=0.99)
+    arch = three_tank_architecture()
+    impl = TimeDependentImplementation(
+        [
+            scenario1_implementation(),
+            baseline_implementation(),
+            scenario2_implementation(),
+        ][:phases]
+    )
+    channel = GilbertElliottChannel(
+        good_to_bad=0.3, bad_to_good=0.4, fail_good=0.1, fail_bad=0.8
+    )
+
+    def faults():
+        return GilbertElliottFaults(
+            hosts={h: channel for h in arch.host_names()},
+            sensors={s: channel for s in arch.sensor_names()},
+            network=channel,
+        )
+
+    runs, iterations = 3, 40
+    config = MonitorConfig(window=7, hysteresis=0.05)
+    result = BatchSimulator(
+        spec, arch, impl, faults=faults(), seed=seed
+    ).run_batch(runs, iterations, monitor=config)
+    assert result.executor == "vectorized"
+
+    bound = three_tank_spec(lrc_u=0.99, functions=bind_control_functions())
+    children = np.random.SeedSequence(seed).spawn(runs)
+    for k, child in enumerate(children):
+        monitor = LrcMonitor(bound, config)
+        scalar = Simulator(
+            bound, arch, impl,
+            environment=ThreeTankEnvironment(),
+            faults=faults(),
+            actuator_communicators=ACTUATORS,
+            seed=np.random.default_rng(child),
+            sinks=(monitor,),
+        ).run(iterations)
+        for name, trace in scalar.abstract().items():
+            assert result.reliable_counts[name][k] == trace.reliable_count()
+        assert [e.to_dict() for e in result.monitor_events_for_run(k)] == [
+            {**e.to_dict(), "run": k} for e in monitor.events
+        ]
 
 
 @RELAXED
@@ -511,6 +575,43 @@ def test_interleaved_run_streams_equal_per_run_generators(
     # Item 3, then 1, then 3 again continues run 3's stream.
     for k in [3, 1, 3] + order:
         assert_same_draws(streams[k], references[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    STREAM_SEEDS,
+    STREAM_STARTS,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=40),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_run_stream_blocks_concatenate_to_one_draw(seed, start, blocks):
+    # Block-wise sampling (the Gilbert-Elliott scan draws each run's
+    # stream one block at a time) relies on random(a) then random(b)
+    # drawing exactly random(a + b), however other runs interleave.
+    streams = run_streams(seed, start, start + 3)
+    drawn = [[np.empty(0)] for _ in range(3)]
+    for k, size in [(2, 5), (0, 3), (2, 4)] + blocks:
+        drawn[k].append(streams[k].random(size))
+    for k in range(3):
+        blockwise = np.concatenate(drawn[k])
+        whole = spawn_key_generator(seed, start + k).random(blockwise.size)
+        assert blockwise.tolist() == whole.tolist()
+
+
+def test_run_stream_block_boundary_at_first_draw():
+    # Run 1's first block starts while run 0 holds the generator
+    # mid-stream; its blocks still join up into one stream.
+    streams = run_streams(11, 5, 7)
+    streams[0].random(3)
+    first, second = streams[1].random(4), streams[1].random(6)
+    whole = spawn_key_generator(11, 6).random(10)
+    assert np.concatenate([first, second]).tolist() == whole.tolist()
 
 
 def test_run_streams_stop_at_one_word_spawn_keys():

@@ -28,6 +28,8 @@ from repro.runtime import (
     BatchExecutor,
     BatchSimulator,
     BernoulliFaults,
+    GilbertElliottChannel,
+    GilbertElliottFaults,
     SerialExecutor,
     ShardedExecutor,
     merge_batch_results,
@@ -202,6 +204,46 @@ def test_sharded_processes_match_serial_three_tank(jobs):
         23, 30, monitor=MonitorConfig(window=5)
     )
     assert_identical(serial, sharded)
+
+
+@pytest.mark.parametrize("processes", [False, True])
+def test_sharded_monitor_passes_differ_per_shard(processes):
+    # A sticky bad channel on h2: in one shard a run falls into a long
+    # burst and u2/r2 fail densely, in the other none does.  Each shard
+    # picks its own monitor pass; the merged events equal those of the
+    # serial batch, which picks one pass for all eight runs.
+    spec = three_tank_spec(lrc_u=0.99)
+    channel = GilbertElliottChannel(good_to_bad=0.004, bad_to_good=0.02)
+    faults = GilbertElliottFaults(hosts={"h2": channel})
+    monitor = MonitorConfig(window=10)
+
+    def simulator(executor):
+        return BatchSimulator(
+            spec, three_tank_architecture(), baseline_implementation(),
+            faults=faults, seed=1, executor=executor,
+        )
+
+    runs, iterations = 8, 60
+    shards = run_slices(
+        simulator(None), runs, iterations, shard_slices(runs, 2), monitor
+    )
+
+    def dense(shard, name):
+        accesses = shard.runs * shard.samples_per_run[name]
+        failures = accesses - int(shard.reliable_counts[name].sum())
+        return failures * monitor.window > accesses
+
+    for name in ("u2", "r2"):
+        assert [dense(shard, name) for shard in shards] == [False, True]
+    serial = simulator(SerialExecutor()).run_batch(
+        runs, iterations, monitor=monitor
+    )
+    assert any(event.communicator == "u2" for event in serial.monitor_events)
+    sharded = simulator(ShardedExecutor(2, processes=processes)).run_batch(
+        runs, iterations, monitor=monitor
+    )
+    assert_identical(serial, sharded)
+    assert_identical(serial, merge_batch_results(shards))
 
 
 def test_sharded_ledger_record_matches_serial():

@@ -181,6 +181,32 @@ def test_events_serialise_to_jsonl():
 # ----------------------------------------------------------------------
 
 
+def assert_passes_match_scalar(status, config):
+    """Dense pass == sparse pass == the scalar monitor, run by run."""
+    spec = three_tank_spec()
+    (alarm, clear), = config.thresholds(spec).values()
+    runs, samples = status.shape
+    times = np.arange(samples, dtype=np.int64) * 10
+    dense = batch_monitor_events(
+        "u1", status, times, alarm, clear, config.window
+    )
+    fail_runs, fail_steps = np.nonzero(~status)
+    sparse = monitor_events_from_failures(
+        "u1", fail_runs, fail_steps, runs, samples, times,
+        alarm, clear, config.window,
+    )
+    expected = []
+    for run in range(runs):
+        scalar = LrcMonitor(spec, config)
+        for step in range(samples):
+            reliable = bool(status[run, step])
+            scalar.observe("u1", int(times[step]), reliable, run)
+        expected += [e.to_dict() for e in scalar.events]
+    assert [e.to_dict() for e in dense] == expected
+    assert [e.to_dict() for e in sparse] == expected
+    return expected
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize(
     "alarm,clear",
@@ -189,45 +215,81 @@ def test_events_serialise_to_jsonl():
 )
 def test_sparse_monitor_matches_dense_and_scalar(seed, alarm, clear):
     rng = np.random.default_rng(seed)
-    runs, samples, window = 5, 120, 9
-    status = rng.random((runs, samples)) > 0.15
-    times = np.arange(samples, dtype=np.int64) * 10
-
-    dense = batch_monitor_events(
-        "c", status, times, alarm, clear, window
-    )
-    fail_runs, fail_steps = np.nonzero(~status)
-    sparse = monitor_events_from_failures(
-        "c", fail_runs, fail_steps, runs, samples, times,
-        alarm, clear, window,
-    )
-    assert [e.to_dict() for e in sparse] == sorted(
-        (e.to_dict() for e in dense),
-        key=lambda d: (d["run"], d["time"], d["kind"] == "lrc-clear"),
+    status = rng.random((5, 120)) > 0.15
+    assert_passes_match_scalar(
+        status,
+        MonitorConfig(
+            window=9,
+            alarm_below={"u1": alarm},
+            clear_above={"u1": clear},
+            communicators=("u1",),
+        ),
     )
 
-    # And both match the stateful scalar monitor, run by run.
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "window,hysteresis",
+    [(130, 0.0), (1, 0.0), (10, 0.0), (10, 0.15)],
+    ids=["window-exceeds-samples", "window-1", "density-boundary",
+         "hysteresis"],
+)
+def test_monitor_passes_agree_on_edge_shapes(seed, window, hysteresis):
+    # Bursty rows, with exactly runs x samples / window failures: the
+    # density at which the batch path switches between the passes.
+    rng = np.random.default_rng(seed)
+    runs, samples = 6, 120
+    status = np.ones(runs * samples, dtype=bool)
+    failures = runs * samples // 10
+    starts = rng.choice(runs * samples // 6, failures // 6, replace=False)
+    status[(6 * starts[:, None] + np.arange(6)).ravel()] = False
+    status = status.reshape(runs, samples)
+    assert (~status).sum() * 10 == runs * samples
+    events = assert_passes_match_scalar(
+        status,
+        MonitorConfig(
+            window=window,
+            hysteresis=hysteresis,
+            alarm_below={"u1": 0.85},
+            communicators=("u1",),
+        ),
+    )
+    assert bool(events) is (window <= samples)
+
+
+def test_alarm_threshold_above_one_is_refused_everywhere():
+    # Every full window would alarm; the engines used to disagree on
+    # it (the scalar monitor alarmed, the batch path stayed silent
+    # when no access failed).
     spec = three_tank_spec()
-    for run in range(runs):
-        scalar = LrcMonitor(
-            spec,
-            MonitorConfig(
-                window=window,
-                alarm_below={"u1": alarm},
-                clear_above={"u1": min(clear, 1.0)}
-                if clear <= 1.0
-                else {"u1": clear},
-                communicators=("u1",),
-            ),
+    config = MonitorConfig(
+        window=4, alarm_below={"u1": 1.5}, clear_above={"u1": 2.0}
+    )
+    with pytest.raises(RuntimeSimulationError, match="'u1'"):
+        config.thresholds(spec)
+    with pytest.raises(RuntimeSimulationError, match="'u1'"):
+        LrcMonitor(spec, config)
+    arch = three_tank_architecture()
+    batch = BatchSimulator(
+        spec, arch, scenario1_implementation(),
+        faults=BernoulliFaults(arch), seed=1,
+    )
+    with pytest.raises(RuntimeSimulationError, match="'u1'"):
+        batch.run_batch(2, 10, monitor=config)
+    status = np.ones((2, 20), dtype=bool)
+    times = np.arange(20)
+    with pytest.raises(RuntimeSimulationError, match="'u1'"):
+        batch_monitor_events("u1", status, times, 1.5, 2.0, 4)
+    none = np.empty(0, dtype=np.int64)
+    with pytest.raises(RuntimeSimulationError, match="'u1'"):
+        monitor_events_from_failures(
+            "u1", none, none, 2, 20, times, 1.5, 2.0, 4
         )
-        for step in range(samples):
-            scalar.observe("u1", int(times[step]), bool(status[run, step]))
-        expected = [
-            {**e.to_dict(), "communicator": "c", "run": run}
-            for e in scalar.events
-        ]
-        got = [e.to_dict() for e in sparse if e.run == run]
-        assert got == expected
+    # An unclearable alarm (clear threshold above 1) stays legal.
+    unclearable = MonitorConfig(
+        window=4, alarm_below={"u1": 0.5}, clear_above={"u1": 2.0}
+    )
+    assert unclearable.thresholds(spec)["u1"] == (0.5, 2.0)
 
 
 def test_sparse_monitor_rejects_trivial_alarm():
